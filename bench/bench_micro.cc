@@ -174,14 +174,11 @@ void BM_CqJoinIndexCache(benchmark::State& state) {
 }
 BENCHMARK(BM_CqJoinIndexCache)->Arg(0)->Arg(1);
 
-// M9: the vectorized columnar executor vs. the row-at-a-time path on the
-// same dense-key chain join, steady state (indexes session-cached in both
-// modes, cost-based order, so the row measures probe work, not builds).
-// The columnar path probes CSR offset arrays with integer codes where the
-// row path materializes Tuple keys and hashes Values per probe.
+// M9: the columnar executor on a dense-key chain join, steady state
+// (indexes session-cached, cost-based order, so the row measures probe
+// work, not builds): CSR offset arrays probed with integer codes.
 void BM_CqJoinColumnarChain(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  bool columnar = state.range(1) != 0;
   Database db = ChainJoinDatabase(n, n);
   ConjunctiveQuery cq(
       {Atom("S1", {Term::Var("x0"), Term::Var("x1")}),
@@ -192,8 +189,6 @@ void BM_CqJoinColumnarChain(benchmark::State& state) {
   ctx.set_index_cache(&cache);
   GroundingOptions grounding;
   grounding.exec = &ctx;
-  grounding.columnar =
-      columnar ? ColumnarMode::kAlways : ColumnarMode::kNever;
   for (auto _ : state) {
     size_t matches = 0;
     Status st = EnumerateCqMatches(
@@ -203,17 +198,12 @@ void BM_CqJoinColumnarChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CqJoinColumnarChain)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_CqJoinColumnarChain)->Arg(1024)->Arg(8192);
 
-// M9: columnar vs. row path on the star join (unary spokes, one wide hub
+// M9: the columnar executor on the star join (unary spokes, one wide hub
 // probed on a single bound position, then fully-bound spoke lookups).
 void BM_CqJoinColumnarStar(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  bool columnar = state.range(1) != 0;
   Database db;
   for (const char* name : {"A", "B", "D"}) {
     Relation rel(name, Schema::Anonymous(1));
@@ -237,8 +227,6 @@ void BM_CqJoinColumnarStar(benchmark::State& state) {
   ctx.set_index_cache(&cache);
   GroundingOptions grounding;
   grounding.exec = &ctx;
-  grounding.columnar =
-      columnar ? ColumnarMode::kAlways : ColumnarMode::kNever;
   for (auto _ : state) {
     size_t matches = 0;
     Status st = EnumerateCqMatches(
@@ -248,39 +236,7 @@ void BM_CqJoinColumnarStar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CqJoinColumnarStar)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
-
-// M7: per-tuple lineage construction fanned out over the pool. Thread
-// count 1 is the sequential builder (no ExecContext); higher counts force
-// the parallel path (thresholds dropped to 1) so the row measures the full
-// split/absorb overhead against the identical sequential output.
-void BM_LineageParallel(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  Rng gen(23);
-  Database db = bench::H0Database(64, &gen);
-  auto ucq = FoToUcq(*ParseUcqShorthand("R(x), S(x,y), T(y)"));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx(pool.get());
-  for (auto _ : state) {
-    FormulaManager mgr;
-    GroundingOptions grounding;
-    if (threads > 1) {
-      grounding.exec = &ctx;
-      grounding.parallel_min_rows = 1;
-      grounding.parallel_min_matches = 1;
-    }
-    auto lineage = BuildUcqLineage(*ucq, db, &mgr, grounding);
-    PDB_CHECK(lineage.ok());
-    benchmark::DoNotOptimize(lineage);
-  }
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_LineageParallel)->DenseRange(1, 8)->UseRealTime();
+BENCHMARK(BM_CqJoinColumnarStar)->Arg(1024)->Arg(8192);
 
 void BM_FoLineageConstruction(benchmark::State& state) {
   // Universal query: grounds over domain^2 pairs.
@@ -398,55 +354,6 @@ void BM_KarpLubySampling(benchmark::State& state) {
   state.counters["threads"] = threads;
 }
 BENCHMARK(BM_KarpLubySampling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-// Parallel connected-component solving: a conjunction of variable-disjoint
-// random 3-DNF blocks, counted with the component split running on 1/2/4
-// pool workers. The count is bit-identical across thread counts; the bench
-// isolates the wall-clock scaling of DpllCounter::CountComponentsParallel
-// (including the per-child ExportTo clone overhead).
-void BM_DpllComponents(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  FormulaManager mgr;
-  Rng gen(11);
-  std::vector<double> probs;
-  std::vector<NodeId> blocks;
-  constexpr int kBlocks = 4;
-  constexpr int kVarsPerBlock = 14;
-  constexpr int kTermsPerBlock = 24;
-  for (int b = 0; b < kBlocks; ++b) {
-    VarId base = static_cast<VarId>(probs.size());
-    for (int v = 0; v < kVarsPerBlock; ++v) {
-      probs.push_back(0.2 + 0.6 * gen.NextDouble());
-    }
-    std::vector<NodeId> terms;
-    for (int t = 0; t < kTermsPerBlock; ++t) {
-      std::vector<NodeId> lits;
-      for (int l = 0; l < 3; ++l) {
-        NodeId lit = mgr.Var(base + static_cast<VarId>(
-                                        gen.Uniform(kVarsPerBlock)));
-        if (gen.Bernoulli(0.5)) lit = mgr.Not(lit);
-        lits.push_back(lit);
-      }
-      terms.push_back(mgr.And(std::move(lits)));
-    }
-    blocks.push_back(mgr.Or(std::move(terms)));
-  }
-  NodeId root = mgr.And(std::move(blocks));
-  WeightMap weights = WeightsFromProbabilities(probs);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx(pool.get());
-  for (auto _ : state) {
-    DpllOptions options;
-    options.parallel_min_vars = 0;
-    if (threads > 1) options.exec = &ctx;
-    DpllCounter counter(&mgr, weights, options);
-    auto p = counter.Compute(root);
-    benchmark::DoNotOptimize(p);
-  }
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_DpllComponents)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Cross-query WMC memoization, repeated-query scenario: the same #P-hard
 // H0 lineage counted by a fresh DpllCounter every iteration — the shape of

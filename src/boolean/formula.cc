@@ -279,103 +279,6 @@ NodeId FormulaManager::Cofactor(NodeId f, VarId v, bool value) {
   return result;
 }
 
-NodeId FormulaManager::ExportTo(NodeId root, FormulaManager* dst) const {
-  // The destination must be pristine (terminals only): interning into a
-  // populated manager could dedup against pre-existing nodes and break the
-  // monotone id mapping the bit-identity guarantee rests on.
-  PDB_ASSERT(dst->NumNodes() == 2);
-  if (is_const(root)) return root;
-  // Collect the reachable set, then clone in ascending id order. Children
-  // are always interned before their parents, so ascending NodeId is a
-  // topological order and the mapping is monotone.
-  std::unordered_set<NodeId> seen;
-  std::vector<NodeId> stack{root};
-  while (!stack.empty()) {
-    NodeId cur = stack.back();
-    stack.pop_back();
-    if (is_const(cur) || !seen.insert(cur).second) continue;
-    for (NodeId c : children(cur)) stack.push_back(c);
-  }
-  std::vector<NodeId> order(seen.begin(), seen.end());
-  std::sort(order.begin(), order.end());
-  std::unordered_map<NodeId, NodeId> map;
-  map.reserve(order.size());
-  map.emplace(False(), dst->False());
-  map.emplace(True(), dst->True());
-  for (NodeId old : order) {
-    const Node& node = nodes_[old];
-    std::vector<NodeId> kids;
-    kids.reserve(node.child_count);
-    for (NodeId c : children(old)) kids.push_back(map.at(c));
-    map.emplace(old, dst->Intern(node.kind, node.var, std::move(kids)));
-  }
-  return map.at(root);
-}
-
-std::vector<NodeId> FormulaManager::AbsorbFrom(
-    const FormulaManager& src, const std::vector<NodeId>& roots) {
-  // Reachable set across all roots, replayed in ascending src id order:
-  // children precede parents (Intern appends), so every child is mapped
-  // before its parent is rebuilt. Unlike ExportTo this goes through the
-  // public simplifying constructors — the old→new mapping need not be
-  // monotone because dedup against pre-existing nodes is the point.
-  // Src ids are dense, so the reachable set and the old→new mapping are
-  // flat arrays, not hash containers: absorb is the serial merge step of
-  // parallel lineage construction, and its per-node cost is the bottleneck
-  // there.
-  const size_t n = src.nodes_.size();
-  std::vector<uint8_t> reachable(n, 0);
-  std::vector<NodeId> stack;
-  for (NodeId r : roots) {
-    if (!src.is_const(r)) stack.push_back(r);
-  }
-  while (!stack.empty()) {
-    NodeId cur = stack.back();
-    stack.pop_back();
-    if (src.is_const(cur) || reachable[cur]) continue;
-    reachable[cur] = 1;
-    for (NodeId c : src.children(cur)) stack.push_back(c);
-  }
-  std::vector<NodeId> map(n, 0);
-  map[src.False()] = False();
-  map[src.True()] = True();
-  std::vector<NodeId> kids;
-  for (size_t old = 2; old < n; ++old) {
-    if (!reachable[old]) continue;
-    const Node& node = src.nodes_[old];
-    NodeId mapped = False();
-    switch (node.kind) {
-      case FormulaKind::kFalse:
-        mapped = False();
-        break;
-      case FormulaKind::kTrue:
-        mapped = True();
-        break;
-      case FormulaKind::kVar:
-        mapped = Var(node.var);
-        break;
-      case FormulaKind::kNot:
-        mapped = Not(map[src.children(old)[0]]);
-        break;
-      case FormulaKind::kAnd:
-      case FormulaKind::kOr: {
-        kids.clear();
-        kids.reserve(node.child_count);
-        for (NodeId c : src.children(old)) kids.push_back(map[c]);
-        mapped = node.kind == FormulaKind::kAnd ? And(kids) : Or(kids);
-        break;
-      }
-    }
-    map[static_cast<NodeId>(old)] = mapped;
-  }
-  std::vector<NodeId> out;
-  out.reserve(roots.size());
-  for (NodeId r : roots) {
-    out.push_back(src.is_const(r) ? r : map[r]);
-  }
-  return out;
-}
-
 size_t FormulaManager::CountReachable(NodeId f) const {
   std::unordered_set<NodeId> seen;
   std::vector<NodeId> stack{f};

@@ -34,8 +34,8 @@ using VarId = uint32_t;
 /// AND/OR child signatures are sorted before combining, so the signature is
 /// independent of the manager-local NodeId order in which children happen to
 /// be stored. This is what makes signatures stable across the per-query
-/// managers and the `ExportTo` clones used by parallel component solving,
-/// and hence usable as cross-manager cache keys (wmc/wmc_cache.h).
+/// managers, and hence usable as cross-manager cache keys
+/// (wmc/wmc_cache.h).
 struct FormulaSignature {
   uint64_t hi = 0;
   uint64_t lo = 0;
@@ -108,33 +108,6 @@ class FormulaManager {
 
   /// Number of DAG nodes reachable from `f`.
   size_t CountReachable(NodeId f) const;
-
-  /// Clones the subDAG rooted at `root` into `dst` (which must be freshly
-  /// constructed) and returns the corresponding root in `dst`. The clone is
-  /// a raw structural copy — no re-simplification — performed in ascending
-  /// NodeId order, so the old→new id mapping is strictly monotone.
-  /// Variable ids are preserved. Consequently every id-order-sensitive
-  /// operation (sorted ∧/∨ child lists, DPLL component grouping, variable
-  /// choice) behaves identically in the clone, which is what makes parallel
-  /// DPLL component solving bit-identical to the sequential search. Reads
-  /// `this` const-only: concurrent ExportTo calls from one source manager
-  /// into distinct destinations are safe.
-  NodeId ExportTo(NodeId root, FormulaManager* dst) const;
-
-  /// Re-interns the subDAGs rooted at `roots` from `src` into `this`
-  /// (which, unlike `ExportTo`'s destination, may already hold nodes) and
-  /// returns the corresponding roots here, in order. Nodes are replayed in
-  /// ascending `src` id order through the public simplifying constructors,
-  /// so the result is exactly what building the same formulas directly in
-  /// `this` would have produced — structurally deduplicated against
-  /// everything already interned, with identical node ids. This is the
-  /// merge half of parallel lineage construction: workers ground disjoint
-  /// match chunks into private managers (sharing global VarIds), then the
-  /// owner absorbs the chunks in deterministic chunk order, making the
-  /// merged lineage bit-identical to a sequential build. Reads `src`
-  /// const-only.
-  std::vector<NodeId> AbsorbFrom(const FormulaManager& src,
-                                 const std::vector<NodeId>& roots);
 
   /// Releases the cofactor memo table (the unique tables stay).
   void ClearCofactorCache() { cofactor_cache_.clear(); }

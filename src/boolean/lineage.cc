@@ -9,8 +9,6 @@
 
 #include "exec/context.h"
 #include "exec/join_profile.h"
-#include "exec/parallel.h"
-#include "exec/thread_pool.h"
 #include "storage/columnar.h"
 #include "storage/index_cache.h"
 #include "util/check.h"
@@ -63,13 +61,6 @@ class DenseVarTable {
     return static_cast<VarId>(id);
   }
 
-  /// Lookup of an already-assigned id (safe to call concurrently with other
-  /// readers; the row must have been assigned by a prior VarFor).
-  VarId IdOf(const Relation* rel, size_t row) const {
-    return static_cast<VarId>(tables_.at(rel)[row]);
-  }
-
-  size_t size() const { return vars_.size(); }
   std::vector<LineageVar> TakeVars() { return std::move(vars_); }
   std::vector<double> TakeProbs() { return std::move(probs_); }
 
@@ -308,8 +299,8 @@ struct JoinStep {
 };
 
 // Where a slot's value comes from: the execution step and column that
-// first bound it. The columnar executor uses this to pick the dictionary
-// whose code space the slot carries.
+// first bound it. The executor uses this to pick the dictionary whose code
+// space the slot carries.
 struct SlotSource {
   uint32_t step = 0;
   uint32_t col = 0;
@@ -322,9 +313,6 @@ struct CompiledJoin {
   std::vector<SlotSource> slot_sources;  // indexed by slot id
   size_t num_slots = 0;
   size_t num_atoms = 0;
-  /// Chosen executor path (see ColumnarMode); the executor may still fall
-  /// back to rows if a composite key space overflows 64 bits.
-  bool use_columnar = false;
   /// Per execution-order step: the cost model's estimated rows per
   /// upstream partial match at ordering time (-1 when no statistics were
   /// consulted). Feeds EXPLAIN's estimate-vs-actual comparison.
@@ -429,7 +417,6 @@ Result<CompiledJoin> CompileJoin(const ConjunctiveQuery& cq,
   CompiledJoin plan;
   plan.num_atoms = atoms.size();
   plan.by_atom.resize(atoms.size());
-  size_t max_rows = 0;
   for (size_t i = 0; i < atoms.size(); ++i) {
     PDB_ASSIGN_OR_RETURN(plan.by_atom[i], db.Get(atoms[i].predicate));
     if (plan.by_atom[i]->arity() != atoms[i].arity()) {
@@ -438,12 +425,7 @@ Result<CompiledJoin> CompileJoin(const ConjunctiveQuery& cq,
                     atoms[i].ToString().c_str(), atoms[i].arity(),
                     plan.by_atom[i]->arity()));
     }
-    max_rows = std::max(max_rows, plan.by_atom[i]->size());
   }
-  plan.use_columnar =
-      options.columnar == ColumnarMode::kAlways ||
-      (options.columnar == ColumnarMode::kAuto &&
-       max_rows >= options.columnar_min_rows);
   // Selectivity statistics for the cost model: the per-relation columnar
   // dictionaries, cached on the relations themselves, so the O(n log n)
   // encode is paid once per relation — not per query.
@@ -504,173 +486,70 @@ Result<CompiledJoin> CompileJoin(const ConjunctiveQuery& cq,
   return plan;
 }
 
-// Runs a compiled join program and materialises the match set in the
-// canonical order: lexicographically ascending per-atom row vectors
-// (indexed by *original* atom position), which is exactly the order the
-// reference matcher streams. Canonicalisation makes downstream VarId
-// numbering — and therefore formula structure and DPLL probabilities —
-// invariant under join order, executor path, thread count, and cache
-// state.
+// The plan-only profile of a compiled join: steps in execution order with
+// their estimates, nothing executed yet.
+JoinPlanProfile ProfileOf(const CompiledJoin& plan) {
+  JoinPlanProfile profile;
+  profile.steps.reserve(plan.steps.size());
+  for (size_t s = 0; s < plan.steps.size(); ++s) {
+    JoinStepProfile sp;
+    sp.atom_index = plan.steps[s].atom_index;
+    sp.predicate = plan.steps[s].rel->name();
+    sp.relation_rows = plan.steps[s].rel->size();
+    sp.estimated_rows =
+        s < plan.step_estimates.size() ? plan.step_estimates[s] : -1.0;
+    profile.steps.push_back(std::move(sp));
+  }
+  return profile;
+}
+
+// Runs a compiled join program over the relations' columnar images and
+// materialises the match set in the canonical order: lexicographically
+// ascending per-atom row vectors (indexed by *original* atom position),
+// which is exactly the order the reference matcher streams.
+// Canonicalisation makes downstream VarId numbering — and therefore
+// formula structure and DPLL probabilities — invariant under join order
+// and cache state.
 //
-// Two execution paths share the control flow. The row path walks stored
-// `Tuple` objects and probes `HashIndex` buckets. The vectorized columnar
-// path (plan.use_columnar) runs entirely over dictionary codes: slots
-// carry `uint32_t` codes, key probes translate codes between column
-// dictionaries through precomputed xlat arrays and hit a `ColumnarIndex`
-// (CSR for single-column keys — no hashing at all), and repeated-variable
-// checks are evaluated once per relation as a batch filter over the code
-// arrays instead of per visit. Both paths emit candidate rows in
-// ascending row order, so they enumerate the identical match stream.
+// Execution touches dictionary codes only: slots carry `uint32_t` codes,
+// key probes translate codes between column dictionaries through
+// precomputed xlat arrays and hit a `ColumnarIndex` (CSR for single-column
+// keys — no hashing at all), and repeated-variable checks are evaluated
+// once per relation as a batch filter over the code arrays instead of per
+// visit. Every step emits candidate rows in ascending row order.
 class JoinExecutor {
  public:
-  JoinExecutor(const CompiledJoin& plan, const GroundingOptions& options)
-      : plan_(plan),
-        exec_(options.exec),
-        k_(plan.num_atoms) {}
+  JoinExecutor(const CompiledJoin& plan, ExecContext* exec)
+      : plan_(plan), exec_(exec), k_(plan.num_atoms) {}
 
-  // Resolves one hash index per keyed step, through the session cache when
-  // the context carries one (misses build under the shard lock; hits are
-  // free), otherwise locally for this execution only.
-  void PrepareIndexes() {
-    IndexCache* cache = exec_ != nullptr ? exec_->index_cache() : nullptr;
-    indexes_.resize(plan_.steps.size());
-    uint64_t builds = 0;
-    uint64_t hits = 0;
-    for (size_t s = 0; s < plan_.steps.size(); ++s) {
-      const JoinStep& step = plan_.steps[s];
-      if (step.key_cols.empty()) continue;
-      if (cache != nullptr) {
-        bool built = false;
-        indexes_[s] = cache->GetOrBuild(*step.rel, step.key_cols, &built);
-        built ? ++builds : ++hits;
-      } else {
-        indexes_[s] =
-            std::make_shared<const HashIndex>(*step.rel, step.key_cols);
-        ++builds;
-      }
-    }
-    if (exec_ != nullptr) {
-      if (builds > 0) exec_->AddIndexBuilds(builds);
-      if (hits > 0) exec_->AddIndexCacheHits(hits);
-    }
-  }
-
-  void Run(const GroundingOptions& options) {
+  void Run() {
     if (k_ == 0) {
       // An empty conjunction is `true`: exactly one empty match.
       empty_cq_ = true;
       if (exec_ != nullptr) exec_->AddLineageMatches(1);
-      RecordProfile(options);
+      RecordProfile();
       return;
     }
     step_rows_.assign(plan_.steps.size(), 0);
-    // PrepareColumnar declines when a composite key space overflows 64
-    // bits; the row path handles those (astronomically wide) keys.
-    columnar_ = plan_.use_columnar && PrepareColumnar();
-    if (impossible_) {
-      // A query constant is absent from its column's dictionary: no row
-      // of that step can ever match, so the whole CQ has zero matches.
-      if (exec_ != nullptr) exec_->AddLineageMatches(0);
-      RecordProfile(options);
-      return;
+    Prepare();
+    // When a query constant is absent from its column's dictionary no row
+    // of that step can ever match, so the whole CQ has zero matches.
+    if (!impossible_) {
+      slots_.assign(plan_.num_slots, 0);
+      rows_.assign(k_, 0);
+      RunFrom(0);
+      Canonicalize();
     }
-    if (!columnar_) PrepareIndexes();
-    // Candidate rows of the first step: an index bucket when the step has
-    // a (necessarily all-constant) key, the whole relation otherwise —
-    // pre-filtered by the batch check mask on the columnar path.
-    const JoinStep& first = plan_.steps[0];
-    const std::vector<size_t>* bucket = nullptr;  // row path
-    const uint32_t* cbase = nullptr;              // columnar path
-    size_t candidates = first.rel->size();
-    Tuple const_key;
-    if (columnar_) {
-      const ColumnarStep& cs = csteps_[0];
-      if (!first.key_cols.empty()) {
-        uint64_t code = 0;
-        for (const ColumnarPart& part : cs.parts) {
-          code += part.radix * part.const_code;
-        }
-        size_t count = 0;
-        cs.index->Lookup(code, &cbase, &count);
-        candidates = count;
-      } else if (cs.use_filtered) {
-        cbase = cs.filtered.data();
-        candidates = cs.filtered.size();
-      }
-    } else if (!first.key_cols.empty()) {
-      for (const JoinKeyPart& part : first.key_parts) {
-        const_key.push_back(part.constant);
-      }
-      bucket = &indexes_[0]->Lookup(const_key);
-      candidates = bucket->size();
-    }
-    size_t chunks = 1;
-    // A one-worker pool cannot overlap anything with the caller, so the
-    // fan-out would be pure chunking overhead.
-    if (exec_ != nullptr && exec_->pool() != nullptr &&
-        exec_->pool()->num_threads() >= 2 &&
-        candidates >= options.parallel_min_rows) {
-      size_t width = exec_->pool()->num_threads() + 1;  // caller joins in
-      chunks = std::min(candidates, 4 * width);
-    }
-    if (chunks <= 1) {
-      WorkerState ws = MakeWorkerState();
-      ws.out = &buf_;
-      if (columnar_) {
-        RunRangeColumnar(ws, cbase, 0, candidates);
-      } else {
-        RunRange(ws, bucket, 0, candidates);
-      }
-      step_rows_ = std::move(ws.step_rows);
-    } else {
-      // Each chunk grounds a contiguous range of first-step candidates
-      // into a private buffer; buffers concatenate in chunk order and the
-      // per-step match counts sum.
-      struct ChunkRun {
-        std::vector<uint32_t> out;
-        std::vector<uint64_t> step_rows;
-      };
-      std::vector<ChunkRun> parts =
-          ParallelMap<ChunkRun>(exec_, chunks, [&](size_t c) {
-            size_t begin = candidates * c / chunks;
-            size_t end = candidates * (c + 1) / chunks;
-            ChunkRun r;
-            WorkerState ws = MakeWorkerState();
-            ws.out = &r.out;
-            if (columnar_) {
-              RunRangeColumnar(ws, cbase, begin, end);
-            } else {
-              RunRange(ws, bucket, begin, end);
-            }
-            r.step_rows = std::move(ws.step_rows);
-            return r;
-          });
-      size_t total = 0;
-      for (const auto& part : parts) total += part.out.size();
-      buf_.reserve(total);
-      for (auto& part : parts) {
-        buf_.insert(buf_.end(), part.out.begin(), part.out.end());
-        for (size_t s = 0; s < part.step_rows.size(); ++s) {
-          step_rows_[s] += part.step_rows[s];
-        }
-      }
-    }
-    Canonicalize();
     if (exec_ != nullptr) exec_->AddLineageMatches(num_matches());
-    RecordProfile(options);
+    RecordProfile();
   }
 
   size_t num_matches() const {
     return empty_cq_ ? 1 : (k_ == 0 ? 0 : buf_.size() / k_);
   }
 
-  /// Rows of canonical match `m`, indexed by original atom position.
-  const uint32_t* MatchAt(size_t m) const {
-    size_t physical = perm_.empty() ? m : perm_[m];
-    return buf_.data() + physical * k_;
-  }
-
-  /// Visits matches in canonical order on the calling thread.
+  /// Visits matches in canonical order; `rows` holds the matched row of
+  /// each atom, indexed by original atom position.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (empty_cq_) {
@@ -678,39 +557,28 @@ class JoinExecutor {
       return;
     }
     const size_t n = num_matches();
-    for (size_t m = 0; m < n; ++m) fn(MatchAt(m));
+    for (size_t m = 0; m < n; ++m) {
+      size_t physical = perm_.empty() ? m : perm_[m];
+      fn(buf_.data() + physical * k_);
+    }
   }
 
  private:
-  struct WorkerState {
-    std::vector<const Value*> slots;   // row path: pointers into tuples
-    std::vector<uint32_t> cslots;      // columnar path: dictionary codes
-    std::vector<Tuple> keys;     // per step, pre-sized key buffers
-    std::vector<uint32_t> rows;  // per original atom index
-    /// Per execution-order step: rows entered (partial matches that
-    /// survived the step). Feeds EXPLAIN ANALYZE's actual cardinalities.
-    std::vector<uint64_t> step_rows;
-    std::vector<uint32_t>* out = nullptr;
-  };
-
-  // One key part on the columnar path: a pre-coded constant, or a slot
-  // whose source-dictionary codes translate into this key column's
-  // dictionary through `xlat`.
+  // One key part: a pre-coded constant, or a slot whose source-dictionary
+  // codes translate into this key column's dictionary through `xlat`.
   struct ColumnarPart {
     int32_t slot = -1;        // < 0: use const_code
     uint32_t const_code = 0;  // code of the constant in the key column
-    uint64_t radix = 1;       // mixed-radix multiplier of this part
     std::vector<uint32_t> xlat;
   };
 
-  // One bind on the columnar path: write the column's code array entry
-  // into the slot.
+  // One bind: write the column's code array entry into the slot.
   struct ColumnarBind {
     const uint32_t* codes = nullptr;
     uint32_t slot = 0;
   };
 
-  // Per-step columnar execution state.
+  // Per-step execution state.
   struct ColumnarStep {
     std::shared_ptr<const ColumnarRelation> cols;
     std::shared_ptr<const ColumnarIndex> index;  // keyed steps only
@@ -725,27 +593,10 @@ class JoinExecutor {
     bool use_filtered = false;
   };
 
-  WorkerState MakeWorkerState() const {
-    WorkerState ws;
-    if (columnar_) {
-      ws.cslots.resize(plan_.num_slots, 0);
-    } else {
-      ws.slots.resize(plan_.num_slots, nullptr);
-      ws.keys.resize(plan_.steps.size());
-      for (size_t s = 0; s < plan_.steps.size(); ++s) {
-        ws.keys[s].resize(plan_.steps[s].key_cols.size());
-      }
-    }
-    ws.rows.resize(k_);
-    ws.step_rows.assign(plan_.steps.size(), 0);
-    return ws;
-  }
-
   // Resolves the columnar image, code index, translation tables, and batch
-  // check filters of every step. Returns false to fall back to the row
-  // path (composite key code would overflow 64 bits). Sets `impossible_`
-  // when a query constant is absent from its column's dictionary.
-  bool PrepareColumnar() {
+  // check filters of every step. Sets `impossible_` when a query constant
+  // is absent from its column's dictionary.
+  void Prepare() {
     IndexCache* cache = exec_ != nullptr ? exec_->index_cache() : nullptr;
     uint64_t builds = 0;
     uint64_t hits = 0;
@@ -762,8 +613,8 @@ class JoinExecutor {
         csteps_[s].cols = step.rel->columnar();
       }
     }
-    bool ok = true;
-    for (size_t s = 0; s < plan_.steps.size() && ok; ++s) {
+    size_t max_key = 0;
+    for (size_t s = 0; s < plan_.steps.size(); ++s) {
       const JoinStep& step = plan_.steps[s];
       ColumnarStep& cs = csteps_[s];
       const ColumnarRelation& cols = *cs.cols;
@@ -777,16 +628,13 @@ class JoinExecutor {
         } else {
           cs.index =
               std::make_shared<const ColumnarIndex>(cs.cols, step.key_cols);
+          ++builds;
         }
-        if (cs.index->composite_overflow()) {
-          ok = false;
-          break;
-        }
+        max_key = std::max(max_key, step.key_parts.size());
         cs.parts.resize(step.key_parts.size());
         for (size_t p = 0; p < step.key_parts.size(); ++p) {
           const JoinKeyPart& part = step.key_parts[p];
           ColumnarPart& cp = cs.parts[p];
-          cp.radix = cs.index->radix(p);
           cp.slot = part.slot;
           if (part.slot < 0) {
             cp.const_code = cols.CodeOf(step.key_cols[p], part.constant);
@@ -829,128 +677,44 @@ class JoinExecutor {
         }
       }
     }
+    key_.assign(max_key, 0);
     if (exec_ != nullptr) {
       if (builds > 0) exec_->AddIndexBuilds(builds);
       if (hits > 0) exec_->AddIndexCacheHits(hits);
     }
-    return ok;
   }
-
-  // Equality checks for repeated variables, then slot binding. Slots are
-  // pointers into stored tuples, so a bind is one pointer store and there
-  // is nothing to undo on backtrack (re-entry overwrites).
-  bool EnterRow(const JoinStep& step, size_t row, WorkerState& ws) const {
-    const Tuple& tuple = step.rel->tuple(row);
-    for (const auto& [col, first] : step.checks) {
-      if (!(tuple[col] == tuple[first])) return false;
-    }
-    for (const auto& [col, slot] : step.binds) {
-      ws.slots[slot] = &tuple[col];
-    }
-    ws.rows[step.atom_index] = static_cast<uint32_t>(row);
-    return true;
-  }
-
-  void RunRange(WorkerState& ws, const std::vector<size_t>* bucket,
-                size_t begin, size_t end) const {
-    const JoinStep& first = plan_.steps[0];
-    for (size_t i = begin; i < end; ++i) {
-      size_t row = bucket != nullptr ? (*bucket)[i] : i;
-      if (EnterRow(first, row, ws)) {
-        ++ws.step_rows[0];
-        RunFrom(1, ws);
-      }
-    }
-  }
-
-  void RunFrom(size_t s, WorkerState& ws) const {
-    if (s == plan_.steps.size()) {
-      ws.out->insert(ws.out->end(), ws.rows.begin(), ws.rows.end());
-      return;
-    }
-    const JoinStep& step = plan_.steps[s];
-    if (step.key_cols.empty()) {
-      const size_t n = step.rel->size();
-      for (size_t row = 0; row < n; ++row) {
-        if (EnterRow(step, row, ws)) {
-          ++ws.step_rows[s];
-          RunFrom(s + 1, ws);
-        }
-      }
-      return;
-    }
-    Tuple& key = ws.keys[s];
-    for (size_t p = 0; p < step.key_parts.size(); ++p) {
-      const JoinKeyPart& part = step.key_parts[p];
-      key[p] = part.slot < 0 ? part.constant : *ws.slots[part.slot];
-    }
-    for (size_t row : indexes_[s]->Lookup(key)) {
-      if (EnterRow(step, row, ws)) {
-        ++ws.step_rows[s];
-        RunFrom(s + 1, ws);
-      }
-    }
-  }
-
-  // --- Vectorized path: the loops below touch only uint32 code arrays. ---
 
   // Batch-filter mask (keyed steps), then binds. Keyless steps with checks
   // never reach the mask test: their candidate list is pre-filtered.
-  bool EnterRowColumnar(const ColumnarStep& cs, const JoinStep& step,
-                        size_t row, WorkerState& ws) const {
+  bool EnterRow(const ColumnarStep& cs, const JoinStep& step, size_t row) {
     if (!cs.pass.empty() && cs.pass[row] == 0) return false;
     for (const ColumnarBind& bind : cs.binds) {
-      ws.cslots[bind.slot] = bind.codes[row];
+      slots_[bind.slot] = bind.codes[row];
     }
-    ws.rows[step.atom_index] = static_cast<uint32_t>(row);
+    rows_[step.atom_index] = static_cast<uint32_t>(row);
     return true;
   }
 
-  // First-step candidates: `base[i]` rows when base is non-null (an index
-  // bucket or a pre-filtered row list), row `i` itself otherwise.
-  void RunRangeColumnar(WorkerState& ws, const uint32_t* base, size_t begin,
-                        size_t end) const {
-    const JoinStep& first = plan_.steps[0];
-    const ColumnarStep& cs = csteps_[0];
-    if (plan_.steps.size() == 1) {
-      uint32_t* slot_row = &ws.rows[first.atom_index];
-      for (size_t i = begin; i < end; ++i) {
-        uint32_t row = base != nullptr ? base[i] : static_cast<uint32_t>(i);
-        if (!cs.pass.empty() && cs.pass[row] == 0) continue;
-        *slot_row = row;
-        ++ws.step_rows[0];
-        ws.out->insert(ws.out->end(), ws.rows.begin(), ws.rows.end());
-      }
-      return;
-    }
-    for (size_t i = begin; i < end; ++i) {
-      uint32_t row = base != nullptr ? base[i] : static_cast<uint32_t>(i);
-      if (EnterRowColumnar(cs, first, row, ws)) {
-        ++ws.step_rows[0];
-        RunFromColumnar(1, ws);
-      }
-    }
-  }
-
-  void RunFromColumnar(size_t s, WorkerState& ws) const {
+  void RunFrom(size_t s) {
     const JoinStep& step = plan_.steps[s];
     const ColumnarStep& cs = csteps_[s];
     // Candidate rows of this step, as a dense uint32 span: an index bucket
-    // (CSR slice or hash bucket) when keyed, the pre-filtered row list or
-    // the whole relation otherwise. null base = identity rows [0, count).
+    // when keyed, the pre-filtered row list or the whole relation
+    // otherwise. null base = identity rows [0, count). The key buffer is
+    // consumed by the probe, so deeper steps may reuse it.
     const uint32_t* base = nullptr;
     size_t count = 0;
     if (!step.key_cols.empty()) {
-      uint64_t code = 0;
-      for (const ColumnarPart& part : cs.parts) {
+      for (size_t p = 0; p < cs.parts.size(); ++p) {
+        const ColumnarPart& part = cs.parts[p];
         uint32_t c = part.slot < 0 ? part.const_code
-                                   : part.xlat[ws.cslots[part.slot]];
+                                   : part.xlat[slots_[part.slot]];
         // The slot's value is absent from this key column's dictionary:
         // no row of this relation can match the current binding.
         if (c == ColumnarRelation::kNoCode) return;
-        code += part.radix * c;
+        key_[p] = c;
       }
-      cs.index->Lookup(code, &base, &count);
+      cs.index->Lookup(key_.data(), &base, &count);
     } else if (cs.use_filtered) {
       base = cs.filtered.data();
       count = cs.filtered.size();
@@ -960,30 +724,29 @@ class JoinExecutor {
     if (s + 1 == plan_.steps.size()) {
       // Final step: its binds feed no later probe, so a match is pure
       // row-id bookkeeping — a tight loop with no tuple materialisation.
-      uint32_t* slot_row = &ws.rows[step.atom_index];
+      uint32_t* slot_row = &rows_[step.atom_index];
       for (size_t i = 0; i < count; ++i) {
         uint32_t row = base != nullptr ? base[i] : static_cast<uint32_t>(i);
         if (!cs.pass.empty() && cs.pass[row] == 0) continue;
         *slot_row = row;
-        ++ws.step_rows[s];
-        ws.out->insert(ws.out->end(), ws.rows.begin(), ws.rows.end());
+        ++step_rows_[s];
+        buf_.insert(buf_.end(), rows_.begin(), rows_.end());
       }
       return;
     }
     for (size_t i = 0; i < count; ++i) {
       uint32_t row = base != nullptr ? base[i] : static_cast<uint32_t>(i);
-      if (EnterRowColumnar(cs, step, row, ws)) {
-        ++ws.step_rows[s];
-        RunFromColumnar(s + 1, ws);
+      if (EnterRow(cs, step, row)) {
+        ++step_rows_[s];
+        RunFrom(s + 1);
       }
     }
   }
 
   // Sorts the match set into canonical (lexicographic) order when the
   // enumeration order deviated from it. With the syntactic join order the
-  // stream is already canonical — chunk ranges ascend on the first atom's
-  // row and each chunk streams in order — so the common case is a linear
-  // is_sorted scan and no permutation.
+  // stream is already canonical, so the common case is a linear is_sorted
+  // scan and no permutation.
   void Canonicalize() {
     const size_t n = k_ == 0 ? 0 : buf_.size() / k_;
     if (n <= 1) return;
@@ -1005,39 +768,15 @@ class JoinExecutor {
     std::sort(perm_.begin(), perm_.end(), less);
   }
 
-  // Reports the executed plan — estimates next to actuals, executor-path
-  // attribution — into the context's JoinProfile when one is attached.
-  void RecordProfile(const GroundingOptions& options) const {
+  // Reports the executed plan — estimates next to actuals — into the
+  // context's JoinProfile when one is attached.
+  void RecordProfile() const {
     if (exec_ == nullptr || exec_->join_profile() == nullptr) return;
-    JoinPlanProfile profile;
+    JoinPlanProfile profile = ProfileOf(plan_);
     profile.executed = true;
-    profile.use_columnar = plan_.use_columnar;
-    profile.columnar_engaged = columnar_;
     profile.matches = num_matches();
-    if (impossible_) {
-      profile.fallback_reason =
-          "query constant absent from dictionary: zero matches";
-    } else if (!columnar_ && k_ > 0) {
-      if (plan_.use_columnar) {
-        profile.fallback_reason =
-            "composite key space overflows 64 bits; row path";
-      } else if (options.columnar == ColumnarMode::kNever) {
-        profile.fallback_reason = "columnar disabled";
-      } else {
-        profile.fallback_reason =
-            "largest relation below columnar_min_rows threshold";
-      }
-    }
-    profile.steps.reserve(plan_.steps.size());
-    for (size_t s = 0; s < plan_.steps.size(); ++s) {
-      JoinStepProfile sp;
-      sp.atom_index = plan_.steps[s].atom_index;
-      sp.predicate = plan_.steps[s].rel->name();
-      sp.relation_rows = plan_.steps[s].rel->size();
-      sp.estimated_rows =
-          s < plan_.step_estimates.size() ? plan_.step_estimates[s] : -1.0;
-      sp.actual_rows = s < step_rows_.size() ? step_rows_[s] : 0;
-      profile.steps.push_back(std::move(sp));
+    for (size_t s = 0; s < step_rows_.size(); ++s) {
+      profile.steps[s].actual_rows = step_rows_[s];
     }
     exec_->join_profile()->AddPlan(std::move(profile));
   }
@@ -1046,11 +785,12 @@ class JoinExecutor {
   ExecContext* exec_;
   const size_t k_;
   bool empty_cq_ = false;
-  bool columnar_ = false;    // vectorized path engaged for this run
   bool impossible_ = false;  // a constant missed its dictionary: 0 matches
-  std::vector<std::shared_ptr<const HashIndex>> indexes_;
   std::vector<ColumnarStep> csteps_;
-  std::vector<uint64_t> step_rows_;  // per-step entered rows, summed
+  std::vector<uint32_t> slots_;      // dictionary code per slot
+  std::vector<uint32_t> rows_;       // current row per original atom index
+  std::vector<uint32_t> key_;        // probe key codes, one per key part
+  std::vector<uint64_t> step_rows_;  // per-step entered rows
   std::vector<uint32_t> buf_;  // k_ row ids per match, enumeration order
   std::vector<size_t> perm_;   // canonical -> physical; empty = identity
 };
@@ -1092,8 +832,8 @@ Status EnumerateCqMatches(const ConjunctiveQuery& cq, const Database& db,
                           const GroundingOptions& options) {
   PDB_ASSIGN_OR_RETURN(CompiledJoin plan,
                        CompileJoin(cq, db, options));
-  JoinExecutor ex(plan, options);
-  ex.Run(options);
+  JoinExecutor ex(plan, options.exec);
+  ex.Run();
   CqMatch match;
   match.atom_rows.resize(plan.num_atoms);
   for (size_t i = 0; i < plan.num_atoms; ++i) {
@@ -1112,26 +852,7 @@ Result<JoinPlanProfile> PlanCqJoin(const ConjunctiveQuery& cq,
                                    const Database& db,
                                    const GroundingOptions& options) {
   PDB_ASSIGN_OR_RETURN(CompiledJoin plan, CompileJoin(cq, db, options));
-  JoinPlanProfile profile;
-  profile.executed = false;
-  profile.use_columnar = plan.use_columnar;
-  if (!plan.use_columnar && plan.num_atoms > 0) {
-    profile.fallback_reason =
-        options.columnar == ColumnarMode::kNever
-            ? "columnar disabled"
-            : "largest relation below columnar_min_rows threshold";
-  }
-  profile.steps.reserve(plan.steps.size());
-  for (size_t s = 0; s < plan.steps.size(); ++s) {
-    JoinStepProfile sp;
-    sp.atom_index = plan.steps[s].atom_index;
-    sp.predicate = plan.steps[s].rel->name();
-    sp.relation_rows = plan.steps[s].rel->size();
-    sp.estimated_rows =
-        s < plan.step_estimates.size() ? plan.step_estimates[s] : -1.0;
-    profile.steps.push_back(std::move(sp));
-  }
-  return profile;
+  return ProfileOf(plan);
 }
 
 Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
@@ -1144,75 +865,22 @@ Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
     PDB_ASSIGN_OR_RETURN(CompiledJoin plan,
                          CompileJoin(cq, db, options));
-    JoinExecutor ex(plan, options);
-    ex.Run(options);
+    JoinExecutor ex(plan, exec);
+    ex.Run();
     const size_t k = plan.num_atoms;
-    const size_t num_matches = ex.num_matches();
     std::vector<NodeId> term_nodes;
-    term_nodes.reserve(num_matches);
-    const bool parallel_build =
-        exec != nullptr && exec->pool() != nullptr &&
-        exec->pool()->num_threads() >= 2 && k > 0 &&
-        num_matches >= options.parallel_min_matches;
-    if (!parallel_build) {
-      std::vector<NodeId> lits;
-      ex.ForEach([&](const uint32_t* rows) {
-        lits.clear();
-        for (size_t i = 0; i < k; ++i) {
-          const Relation* rel = plan.by_atom[i];
-          double p = rel->prob(rows[i]);
-          if (p == 1.0) continue;  // certain tuple contributes no literal
-          lits.push_back(mgr->Var(vars.VarFor(rel, rows[i])));
-        }
-        term_nodes.push_back(mgr->And(lits));
-      });
-    } else {
-      // Two-phase parallel construction. Phase 1 (sequential, cheap):
-      // assign VarIds in canonical first-use order, so every worker shares
-      // one global numbering. Phase 2: workers build their chunk's term
-      // nodes in private managers; the owner absorbs the chunks in order.
-      // AbsorbFrom replays nodes through the simplifying constructors, so
-      // the merged manager state — ids included — is exactly what the
-      // sequential loop above would have produced.
-      ex.ForEach([&](const uint32_t* rows) {
-        for (size_t i = 0; i < k; ++i) {
-          const Relation* rel = plan.by_atom[i];
-          if (rel->prob(rows[i]) == 1.0) continue;
-          vars.VarFor(rel, rows[i]);
-        }
-      });
-      struct ChunkBuild {
-        std::unique_ptr<FormulaManager> mgr;
-        std::vector<NodeId> roots;  // one per match of the chunk
-      };
-      const size_t width = exec->pool()->num_threads() + 1;
-      const size_t chunks = std::min(num_matches, 2 * width);
-      std::vector<ChunkBuild> built =
-          ParallelMap<ChunkBuild>(exec, chunks, [&](size_t c) {
-            ChunkBuild out;
-            out.mgr = std::make_unique<FormulaManager>();
-            size_t begin = num_matches * c / chunks;
-            size_t end = num_matches * (c + 1) / chunks;
-            out.roots.reserve(end - begin);
-            std::vector<NodeId> lits;
-            for (size_t m = begin; m < end; ++m) {
-              const uint32_t* rows = ex.MatchAt(m);
-              lits.clear();
-              for (size_t i = 0; i < k; ++i) {
-                const Relation* rel = plan.by_atom[i];
-                if (rel->prob(rows[i]) == 1.0) continue;
-                lits.push_back(out.mgr->Var(vars.IdOf(rel, rows[i])));
-              }
-              out.roots.push_back(out.mgr->And(lits));
-            }
-            return out;
-          });
-      for (const ChunkBuild& chunk : built) {
-        std::vector<NodeId> mapped = mgr->AbsorbFrom(*chunk.mgr,
-                                                     chunk.roots);
-        term_nodes.insert(term_nodes.end(), mapped.begin(), mapped.end());
+    term_nodes.reserve(ex.num_matches());
+    std::vector<NodeId> lits;
+    ex.ForEach([&](const uint32_t* rows) {
+      lits.clear();
+      for (size_t i = 0; i < k; ++i) {
+        const Relation* rel = plan.by_atom[i];
+        double p = rel->prob(rows[i]);
+        if (p == 1.0) continue;  // certain tuple contributes no literal
+        lits.push_back(mgr->Var(vars.VarFor(rel, rows[i])));
       }
-    }
+      term_nodes.push_back(mgr->And(lits));
+    });
     disjunct_nodes.push_back(mgr->Or(std::move(term_nodes)));
   }
   Lineage lineage;
@@ -1232,8 +900,8 @@ Result<DnfLineage> BuildUcqDnf(const Ucq& ucq, const Database& db,
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
     PDB_ASSIGN_OR_RETURN(CompiledJoin plan,
                          CompileJoin(cq, db, options));
-    JoinExecutor ex(plan, options);
-    ex.Run(options);
+    JoinExecutor ex(plan, options.exec);
+    ex.Run();
     const size_t k = plan.num_atoms;
     ex.ForEach([&](const uint32_t* rows) {
       std::vector<VarId> term;

@@ -12,18 +12,16 @@
 /// slots, per-atom key/bind/check column lists precomputed), atoms are
 /// reordered by selectivity estimates from per-column distinct-value
 /// counts so chain, star, and cyclic joins never enumerate cross
-/// products, hash indexes come from a session cache when one is
-/// available, and the first join step fans out across the
-/// `ExecContext`'s thread pool. Large relations execute on a vectorized
-/// columnar path (storage/columnar.h): bind slots carry dense dictionary
-/// codes, key probes and repeated-variable checks run as tight loops
-/// over `uint32_t` arrays, and rows only materialise as tuples once a
-/// full match is emitted. Matches are canonicalised to the lexicographic
-/// order of their per-atom row vectors — which is exactly the order the
-/// naive syntactic backtracking search emits — so every downstream
-/// consumer (variable numbering, formula structure, DPLL probabilities)
-/// is bit-identical regardless of join order, executor path, thread
-/// count, or cache state.
+/// products, and the program runs sequentially over the relations'
+/// columnar images (storage/columnar.h): bind slots carry dense dictionary
+/// codes, key probes and repeated-variable checks run as tight loops over
+/// `uint32_t` arrays against code indexes taken from a session cache when
+/// one is available, and rows only materialise as tuples once a full
+/// match is emitted. Matches are canonicalised to the lexicographic order
+/// of their per-atom row vectors — which is exactly the order the naive
+/// syntactic backtracking search emits — so every downstream consumer
+/// (variable numbering, formula structure, DPLL probabilities) is
+/// bit-identical regardless of join order or cache state.
 
 #ifndef PDB_BOOLEAN_LINEAGE_H_
 #define PDB_BOOLEAN_LINEAGE_H_
@@ -77,40 +75,15 @@ enum class AtomOrderPolicy {
   kSyntactic,
 };
 
-/// Executor-path policy of the CQ grounding engine.
-enum class ColumnarMode {
-  /// Vectorized columnar execution when the query's largest relation has
-  /// at least `columnar_min_rows` rows, row-at-a-time otherwise (tiny
-  /// joins don't amortise dictionary encoding).
-  kAuto,
-  /// Always take the columnar path (testing / benchmarking).
-  kAlways,
-  /// Always take the row path (the historical executor).
-  kNever,
-};
-
 /// Knobs for the CQ grounding engine. The defaults reproduce the exact
 /// match set and order of the naive reference matcher; every knob is a
 /// pure performance control.
 struct GroundingOptions {
-  /// Execution context carrying the worker pool, the session index cache,
-  /// and the lineage/index counters. Null = sequential, no cache, no
-  /// counters.
+  /// Execution context carrying the session index cache and the
+  /// lineage/index counters. Null = no cache, no counters.
   ExecContext* exec = nullptr;
   /// Join-order policy (see AtomOrderPolicy).
   AtomOrderPolicy order = AtomOrderPolicy::kCostBased;
-  /// Executor-path policy (see ColumnarMode).
-  ColumnarMode columnar = ColumnarMode::kAuto;
-  /// Row-count threshold for ColumnarMode::kAuto: the columnar path
-  /// engages once the query's largest relation reaches this many rows.
-  size_t columnar_min_rows = 64;
-  /// Fan the first join step out across the pool once it has at least this
-  /// many candidate rows (only with `exec` and a pool).
-  size_t parallel_min_rows = 256;
-  /// Build formula terms in parallel (private managers merged through
-  /// `FormulaManager::AbsorbFrom` in deterministic chunk order) once a
-  /// disjunct has at least this many matches.
-  size_t parallel_min_matches = 2048;
 };
 
 /// Grounds an FO sentence over `db`, quantifying over `domain` (defaults to
@@ -137,17 +110,16 @@ struct CqMatch {
 /// `db`, invoking `callback` for each, in the lexicographic order of the
 /// per-atom row vector (ascending row of atom 0, then atom 1, ...). Returns
 /// an error if an atom references a missing relation or has an arity
-/// mismatch. The callback runs on the calling thread even when the join
-/// itself fans out over `options.exec`'s pool.
+/// mismatch.
 Status EnumerateCqMatches(const ConjunctiveQuery& cq, const Database& db,
                           const std::function<void(const CqMatch&)>& callback,
                           const GroundingOptions& options = {});
 
 /// Compiles `cq`'s join program without executing it: the cost-based atom
-/// order, per-step selectivity estimates, and the chosen executor path,
-/// as a `JoinPlanProfile` with zero `actual_rows` and `executed` false.
-/// The plan-only half of EXPLAIN; EXPLAIN ANALYZE instead executes and
-/// collects the profile through `ExecContext::join_profile`.
+/// order and per-step selectivity estimates, as a `JoinPlanProfile` with
+/// zero `actual_rows` and `executed` false. The plan-only half of EXPLAIN;
+/// EXPLAIN ANALYZE instead executes and collects the profile through
+/// `ExecContext::join_profile`.
 Result<JoinPlanProfile> PlanCqJoin(const ConjunctiveQuery& cq,
                                    const Database& db,
                                    const GroundingOptions& options = {});

@@ -61,6 +61,30 @@ SessionOptions SingleShotOptions(const QueryOptions& options) {
   return session_options;
 }
 
+/// Sets a sampled answer's estimate and interval: the ±2σ band around the
+/// estimate, narrowed by the plan bounds when there are any. Plan bounds
+/// are sound, so when the band misses them altogether they stand alone.
+/// The estimate is then clamped into the interval it is reported with.
+void SetSampledAnswer(const Estimate& estimate,
+                      const std::optional<PlanBounds>& bounds,
+                      QueryAnswer* answer) {
+  answer->std_error = estimate.std_error;
+  answer->lower =
+      std::clamp(estimate.value - 2.0 * estimate.std_error, 0.0, 1.0);
+  answer->upper =
+      std::clamp(estimate.value + 2.0 * estimate.std_error, 0.0, 1.0);
+  if (bounds.has_value()) {
+    answer->lower = std::max(answer->lower, bounds->lower);
+    answer->upper = std::min(answer->upper, bounds->upper);
+    if (answer->lower > answer->upper) {
+      answer->lower = bounds->lower;
+      answer->upper = bounds->upper;
+    }
+  }
+  answer->probability =
+      std::min(std::max(estimate.value, answer->lower), answer->upper);
+}
+
 }  // namespace
 
 Result<QueryAnswer> ProbDatabase::Query(const std::string& query_text,
@@ -234,12 +258,7 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
       if (estimate.ok()) {
         mc_span.AddCounter("samples", estimate->samples);
         mc_span.AddCounter("dnf_terms", dnf->terms.size());
-        answer.std_error = estimate->std_error;
-        answer.probability = estimate->value;
-        answer.lower =
-            std::max(0.0, estimate->value - 2.0 * estimate->std_error);
-        answer.upper =
-            std::min(1.0, estimate->value + 2.0 * estimate->std_error);
+        SetSampledAnswer(*estimate, bounds, &answer);
         answer.method = InferenceMethod::kMonteCarlo;
         answer.exact = false;
         answer.explanation = fallback_note + StrFormat(
@@ -247,8 +266,6 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
             static_cast<unsigned long long>(estimate->samples),
             dnf->terms.size(), estimate->std_error);
         if (bounds.has_value()) {
-          answer.lower = std::max(answer.lower, bounds->lower);
-          answer.upper = std::min(answer.upper, bounds->upper);
           answer.explanation += StrFormat(
               "; plan bounds [%.6g, %.6g] over %zu plans", bounds->lower,
               bounds->upper, bounds->num_plans);
@@ -268,10 +285,7 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
         NaiveMonteCarlo(&*mgr, lineage.root, lineage.probs,
                         options.monte_carlo_samples, &rng, ctx);
     mc_span.AddCounter("samples", estimate.samples);
-    answer.std_error = estimate.std_error;
-    answer.probability = estimate.value;
-    answer.lower = std::max(0.0, estimate.value - 2.0 * estimate.std_error);
-    answer.upper = std::min(1.0, estimate.value + 2.0 * estimate.std_error);
+    SetSampledAnswer(estimate, bounds, &answer);
     answer.method = InferenceMethod::kMonteCarlo;
     answer.exact = false;
     answer.explanation = fallback_note + StrFormat(
@@ -279,8 +293,6 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
         static_cast<unsigned long long>(estimate.samples),
         estimate.std_error);
     if (bounds.has_value()) {
-      answer.lower = std::max(answer.lower, bounds->lower);
-      answer.upper = std::min(answer.upper, bounds->upper);
       answer.explanation += StrFormat(
           "; plan bounds [%.6g, %.6g] over %zu plans", bounds->lower,
           bounds->upper, bounds->num_plans);

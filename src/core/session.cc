@@ -119,8 +119,6 @@ Session::Session(const ProbDatabase* db, SessionOptions options)
   tickers_.dpll_cache_hits = metrics_.GetCounter("pdb_dpll_cache_hits_total");
   tickers_.dpll_component_splits =
       metrics_.GetCounter("pdb_dpll_component_splits_total");
-  tickers_.dpll_parallel_splits =
-      metrics_.GetCounter("pdb_dpll_parallel_splits_total");
   tickers_.wmc_shared_hits = metrics_.GetCounter("pdb_wmc_shared_hits_total");
   tickers_.wmc_shared_misses =
       metrics_.GetCounter("pdb_wmc_shared_misses_total");
@@ -328,7 +326,6 @@ void Session::AggregateLocked(const ExecReport& report) {
   cumulative_.cache_hits += report.cache_hits;
   cumulative_.dpll_decisions += report.dpll_decisions;
   cumulative_.dpll_component_splits += report.dpll_component_splits;
-  cumulative_.dpll_parallel_splits += report.dpll_parallel_splits;
   cumulative_.wmc_shared_hits += report.wmc_shared_hits;
   cumulative_.wmc_shared_misses += report.wmc_shared_misses;
   cumulative_.lineage_matches += report.lineage_matches;
@@ -349,7 +346,6 @@ void Session::AggregateLocked(const ExecReport& report) {
   tickers_.dpll_cache_hits->Add(report.cache_hits);
   tickers_.dpll_decisions->Add(report.dpll_decisions);
   tickers_.dpll_component_splits->Add(report.dpll_component_splits);
-  tickers_.dpll_parallel_splits->Add(report.dpll_parallel_splits);
   tickers_.wmc_shared_hits->Add(report.wmc_shared_hits);
   tickers_.wmc_shared_misses->Add(report.wmc_shared_misses);
   tickers_.lineage_matches->Add(report.lineage_matches);

@@ -68,8 +68,8 @@ struct SessionOptions {
   size_t max_cache_entries = 4096;
   /// Share one cross-query WMC subformula cache (wmc/wmc_cache.h) across
   /// every DPLL run issued through the session — including the per-tuple
-  /// fan-out of QueryWithAnswers and parallel component children, which
-  /// otherwise each re-solve near-identical lineages from scratch.
+  /// fan-out of QueryWithAnswers, which otherwise re-solves near-identical
+  /// lineages from scratch.
   bool share_wmc_cache = true;
   /// Byte budget of the shared WMC cache (per-shard CLOCK eviction).
   size_t wmc_cache_bytes = size_t{64} << 20;
@@ -89,11 +89,11 @@ struct SessionOptions {
   size_t trace_ring_size = 32;
   /// Share one join-index cache (storage/index_cache.h) across every CQ
   /// grounding issued through the session, so repeated queries (and the
-  /// per-tuple fan-out of QueryWithAnswers) reuse hash indexes, columnar
-  /// relation images, and columnar code indexes instead of rebuilding
-  /// them per grounding. Invalidated with the result cache when the
-  /// database generation moves (which also detaches stale columnar
-  /// entries — the relations themselves re-encode lazily).
+  /// per-tuple fan-out of QueryWithAnswers) reuse columnar relation images
+  /// and columnar code indexes instead of rebuilding them per grounding.
+  /// Invalidated with the result cache when the database generation moves
+  /// (which also detaches stale columnar entries — the relations
+  /// themselves re-encode lazily).
   bool cache_indexes = true;
   /// Shard (mutex stripe) count of the shared index cache.
   size_t index_cache_shards = 8;
@@ -344,7 +344,6 @@ class Session {
     Counter* dpll_decisions;
     Counter* dpll_cache_hits;
     Counter* dpll_component_splits;
-    Counter* dpll_parallel_splits;
     Counter* wmc_shared_hits;
     Counter* wmc_shared_misses;
     Counter* wmc_shared_inserts;    // overlay: Set() from WmcCacheStats

@@ -19,10 +19,6 @@ std::string ExecReport::ToString() const {
   if (dpll_component_splits > 0) {
     s += StrFormat(", %llu component splits",
                    static_cast<unsigned long long>(dpll_component_splits));
-    if (dpll_parallel_splits > 0) {
-      s += StrFormat(" (%llu parallel)",
-                     static_cast<unsigned long long>(dpll_parallel_splits));
-    }
   }
   if (mc_batches > 0) {
     s += StrFormat(", %llu MC batches",
@@ -114,8 +110,6 @@ ExecReport ExecContext::Report() {
   report.dpll_decisions = dpll_decisions_.load(std::memory_order_relaxed);
   report.dpll_component_splits =
       dpll_component_splits_.load(std::memory_order_relaxed);
-  report.dpll_parallel_splits =
-      dpll_parallel_splits_.load(std::memory_order_relaxed);
   report.wmc_shared_hits = wmc_shared_hits_.load(std::memory_order_relaxed);
   report.wmc_shared_misses =
       wmc_shared_misses_.load(std::memory_order_relaxed);

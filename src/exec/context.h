@@ -43,7 +43,6 @@ struct ExecReport {
   uint64_t cache_hits = 0;      ///< DPLL formula-cache hits (local, NodeId)
   uint64_t dpll_decisions = 0;  ///< DPLL branch decisions
   uint64_t dpll_component_splits = 0;  ///< DPLL connected-component splits
-  uint64_t dpll_parallel_splits = 0;   ///< component splits solved in parallel
   uint64_t wmc_shared_hits = 0;    ///< session-shared WMC cache hits
   uint64_t wmc_shared_misses = 0;  ///< session-shared WMC cache misses
   /// Filled only by Session::CumulativeReport() from the cache's own
@@ -54,7 +53,7 @@ struct ExecReport {
   size_t wmc_shared_bytes = 0;  ///< resident bytes of the shared cache
   uint64_t lineage_matches = 0;  ///< CQ join matches enumerated
   uint64_t lineage_nodes = 0;    ///< lineage formula nodes / DNF entries built
-  uint64_t index_builds = 0;     ///< hash indexes constructed for grounding
+  uint64_t index_builds = 0;     ///< join indexes built for grounding
   uint64_t index_cache_hits = 0;  ///< index requests served by the cache
   /// Parallel helper tasks refused by `ThreadPool::TrySubmit` because the
   /// pool was saturated — the work ran inline on the submitting thread
@@ -91,7 +90,7 @@ class ExecContext {
   WmcCache* wmc_cache() const { return wmc_cache_; }
   void set_wmc_cache(WmcCache* cache) { wmc_cache_ = cache; }
 
-  /// Session-owned hash-index cache (storage/index_cache.h), or null when
+  /// Session-owned join-index cache (storage/index_cache.h), or null when
   /// the caller has no session (each grounding then builds throwaway
   /// indexes). Carried, not owned, like the WMC cache.
   IndexCache* index_cache() const { return index_cache_; }
@@ -151,9 +150,6 @@ class ExecContext {
   void AddDpllComponentSplits(uint64_t n) {
     dpll_component_splits_.fetch_add(n, std::memory_order_relaxed);
   }
-  void AddDpllParallelSplits(uint64_t n) {
-    dpll_parallel_splits_.fetch_add(n, std::memory_order_relaxed);
-  }
   void AddWmcSharedHits(uint64_t n) {
     wmc_shared_hits_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -194,7 +190,6 @@ class ExecContext {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> dpll_decisions_{0};
   std::atomic<uint64_t> dpll_component_splits_{0};
-  std::atomic<uint64_t> dpll_parallel_splits_{0};
   std::atomic<uint64_t> wmc_shared_hits_{0};
   std::atomic<uint64_t> wmc_shared_misses_{0};
   std::atomic<uint64_t> lineage_matches_{0};

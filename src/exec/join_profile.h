@@ -6,9 +6,8 @@
 /// over per-column distinct counts — the classic independence assumption).
 /// A `JoinProfile` attached to the `ExecContext` captures, per executed
 /// plan, those estimates side by side with the *actual* per-step partial
-/// match counts the executor observed, plus whether the vectorized
-/// columnar path engaged and, when it did not, why. EXPLAIN ANALYZE
-/// renders the two columns together so a cardinality misestimate (e.g. a
+/// match counts the executor observed. EXPLAIN ANALYZE renders the two
+/// columns together so a cardinality misestimate (e.g. a
 /// correlated dataset breaking the independence assumption) is visible
 /// per atom instead of hidden inside a slow query.
 ///
@@ -45,15 +44,9 @@ struct JoinStepProfile {
   uint64_t actual_rows = 0;
 };
 
-/// One compiled plan: the ordered steps plus executor-path attribution.
+/// One compiled plan: the ordered steps and what executing them produced.
 struct JoinPlanProfile {
   std::vector<JoinStepProfile> steps;
-  /// The compiler chose the columnar path for this plan.
-  bool use_columnar = false;
-  /// The columnar path actually ran (preparation can fall back).
-  bool columnar_engaged = false;
-  /// Human-readable reason when the columnar path did not run.
-  std::string fallback_reason;
   /// Matches the executor emitted (0 for plan-only EXPLAIN).
   uint64_t matches = 0;
   /// True when the plan was compiled but not executed (plain EXPLAIN).

@@ -1,18 +1,19 @@
 /// \file parallel.h
-/// \brief `ParallelFor` / `ParallelReduce` over an `ExecContext`'s pool.
+/// \brief `ParallelFor` / `ParallelMap` over an `ExecContext`'s pool.
 ///
-/// The engine's parallelism is expressed exclusively through these helpers,
-/// which keep two invariants the inference code relies on:
+/// The engine's parallelism — Monte Carlo and Karp–Luby sample shards and
+/// the per-answer fan-out — is expressed exclusively through these
+/// helpers, which keep two invariants the inference code relies on:
 ///
 ///  1. **Caller participation.** The calling thread claims loop indices
 ///     alongside the pool workers, so a `ParallelFor` nested inside a pool
 ///     task can never deadlock (the caller always makes progress even when
 ///     every worker is busy), and a context without a pool degrades to a
 ///     plain sequential loop.
-///  2. **Deterministic merging.** `ParallelReduce` materialises every body
-///     result and folds them in index order on the calling thread, so the
-///     reduction is bit-identical no matter how indices were interleaved
-///     across threads. Combined with per-shard RNG substreams
+///  2. **Deterministic merging.** `ParallelMap` materialises every body
+///     result in index order, so a caller that folds them on its own
+///     thread gets a bit-identical result no matter how indices were
+///     interleaved across threads. Combined with per-shard RNG substreams
 ///     (`Rng::Split`), Monte Carlo estimates are invariant to thread count.
 ///
 /// Bodies are responsible for their own cooperative cancellation: every
@@ -44,19 +45,6 @@ std::vector<T> ParallelMap(ExecContext* ctx, size_t n, const Fn& fn) {
   std::vector<T> out(n);
   ParallelFor(ctx, n, [&](size_t i) { out[i] = fn(i); });
   return out;
-}
-
-/// Parallel map + sequential in-order fold:
-/// `init ⊕ fn(0) ⊕ fn(1) ⊕ ... ⊕ fn(n-1)`. The fold runs on the calling
-/// thread in index order, making the result deterministic even for
-/// non-associative combines (floating-point sums).
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(ExecContext* ctx, size_t n, T init, const MapFn& fn,
-                 const CombineFn& combine) {
-  std::vector<T> parts = ParallelMap<T>(ctx, n, fn);
-  T acc = std::move(init);
-  for (T& part : parts) acc = combine(std::move(acc), std::move(part));
-  return acc;
 }
 
 }  // namespace pdb

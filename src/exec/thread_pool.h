@@ -46,8 +46,8 @@ class ThreadPool {
   /// neither executing a task nor already spoken for by a queued one.
   /// Returns false (and does not take the task) when the pool is saturated
   /// or shutting down. This is the nesting-safe hook for recursive
-  /// parallelism: work generated inside a pool task (DPLL component splits,
-  /// nested parallel loops) calls TrySubmit and, on refusal, runs the work
+  /// parallelism: work generated inside a pool task (nested parallel loops)
+  /// calls TrySubmit and, on refusal, runs the work
   /// inline on the calling thread — so a full pool sheds load instead of
   /// stacking queued tasks it can only start after their parents finish.
   bool TrySubmit(std::function<void()> task);

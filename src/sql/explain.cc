@@ -49,11 +49,7 @@ std::string PlanJson(const JoinPlanProfile& plan) {
         static_cast<unsigned long long>(step.actual_rows));
   }
   out += StrFormat(
-      "],\"use_columnar\":%s,\"columnar_engaged\":%s,"
-      "\"fallback_reason\":\"%s\",\"matches\":%llu,\"executed\":%s}",
-      plan.use_columnar ? "true" : "false",
-      plan.columnar_engaged ? "true" : "false",
-      JsonEscape(plan.fallback_reason).c_str(),
+      "],\"matches\":%llu,\"executed\":%s}",
       static_cast<unsigned long long>(plan.matches),
       plan.executed ? "true" : "false");
   return out;
@@ -92,19 +88,8 @@ std::string ExplainResult::ToText() const {
                    method_predicted ? " (predicted)" : "", safety.c_str());
   for (size_t p = 0; p < plans.size(); ++p) {
     const JoinPlanProfile& plan = plans[p];
-    std::string path;
-    if (plan.columnar_engaged) {
-      path = "columnar (vectorized)";
-    } else if (plan.use_columnar) {
-      path = StrFormat("row (columnar fallback: %s)",
-                       plan.fallback_reason.c_str());
-    } else {
-      path = plan.fallback_reason.empty()
-                 ? "row"
-                 : StrFormat("row (%s)", plan.fallback_reason.c_str());
-    }
-    out += StrFormat("plan %zu: %s, %zu step%s%s\n", p + 1, path.c_str(),
-                     plan.steps.size(), plan.steps.size() == 1 ? "" : "s",
+    out += StrFormat("plan %zu: %zu step%s%s\n", p + 1, plan.steps.size(),
+                     plan.steps.size() == 1 ? "" : "s",
                      plan.executed
                          ? StrFormat(", %llu matches",
                                      static_cast<unsigned long long>(

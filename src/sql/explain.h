@@ -14,7 +14,7 @@
 ///  - the routing decision: the safety-check verdict and the inference
 ///    method (predicted for plain EXPLAIN, actual for ANALYZE);
 ///  - the compiled join plan(s): cost-based atom order, per-step estimated
-///    vs actual rows, columnar-vs-row engagement and the fallback reason;
+///    vs actual rows, and the match count;
 ///  - for ANALYZE: the answer, the `ExecReport` counters (cache and index
 ///    attribution), and the full per-phase `TraceData`.
 ///

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <unordered_set>
 
 #include "storage/relation.h"
@@ -62,28 +63,48 @@ std::vector<uint32_t> BuildCodeTranslation(const std::vector<Value>& src,
   return xlat;
 }
 
+namespace {
+
+// Mixed-radix multipliers of the composite code over `key_cols`: the last
+// key part varies fastest, so a row's composite code is unique per
+// distinct key combination. Returns false when the code would not fit in
+// 64 bits.
+bool MixedRadix(const ColumnarRelation& cols,
+                const std::vector<size_t>& key_cols,
+                std::vector<uint64_t>* radix) {
+  radix->assign(key_cols.size(), 1);
+  for (size_t p = key_cols.size(); p-- > 1;) {
+    uint64_t dict_size = cols.distinct(key_cols[p]);
+    if (dict_size == 0) dict_size = 1;  // empty relation: any radix works
+    if ((*radix)[p] > UINT64_MAX / dict_size) return false;
+    (*radix)[p - 1] = (*radix)[p] * dict_size;
+  }
+  // One more width check for the leading part (the composite must fit).
+  uint64_t lead = cols.distinct(key_cols[0]);
+  return lead == 0 || (*radix)[0] <= UINT64_MAX / lead;
+}
+
+uint64_t CompositeCode(const ColumnarRelation& cols,
+                       const std::vector<size_t>& key_cols,
+                       const std::vector<uint64_t>& radix, size_t row) {
+  uint64_t code = 0;
+  for (size_t p = 0; p < key_cols.size(); ++p) {
+    code += radix[p] * cols.codes(key_cols[p])[row];
+  }
+  return code;
+}
+
+}  // namespace
+
 size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols) {
   if (key_cols.empty()) return 0;
-  // Mixed-radix multipliers, same construction as ColumnarIndex; the
-  // composite code of a row is unique per distinct key combination.
-  std::vector<uint64_t> radix(key_cols.size(), 1);
-  for (size_t p = key_cols.size(); p-- > 1;) {
-    uint64_t dict_size = cols.distinct(key_cols[p]);
-    if (dict_size == 0) dict_size = 1;
-    if (radix[p] > UINT64_MAX / dict_size) return 0;
-    radix[p - 1] = radix[p] * dict_size;
-  }
-  uint64_t lead = cols.distinct(key_cols[0]);
-  if (lead > 0 && radix[0] > UINT64_MAX / lead) return 0;
+  std::vector<uint64_t> radix;
+  if (!MixedRadix(cols, key_cols, &radix)) return 0;
   std::unordered_set<uint64_t> seen;
   seen.reserve(cols.num_rows());
   for (size_t row = 0; row < cols.num_rows(); ++row) {
-    uint64_t code = 0;
-    for (size_t p = 0; p < key_cols.size(); ++p) {
-      code += radix[p] * cols.codes(key_cols[p])[row];
-    }
-    seen.insert(code);
+    seen.insert(CompositeCode(cols, key_cols, radix, row));
   }
   return seen.size();
 }
@@ -92,25 +113,6 @@ ColumnarIndex::ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols,
                              std::vector<size_t> key_cols)
     : cols_(std::move(cols)), key_cols_(std::move(key_cols)) {
   PDB_CHECK(!key_cols_.empty());
-  // Mixed-radix multipliers: the last key part varies fastest. Composite
-  // codes preserve the lexicographic order of the part codes, though only
-  // equality is used here.
-  radix_.assign(key_cols_.size(), 1);
-  for (size_t p = key_cols_.size(); p-- > 1;) {
-    uint64_t dict_size = cols_->distinct(key_cols_[p]);
-    if (dict_size == 0) dict_size = 1;  // empty relation: any radix works
-    if (radix_[p] > UINT64_MAX / dict_size) {
-      overflow_ = true;
-      return;
-    }
-    radix_[p - 1] = radix_[p] * dict_size;
-  }
-  // One more width check for the leading part (the composite must fit).
-  uint64_t lead = cols_->distinct(key_cols_[0]);
-  if (lead > 0 && radix_[0] > UINT64_MAX / lead) {
-    overflow_ = true;
-    return;
-  }
   const size_t n = cols_->num_rows();
   if (key_cols_.size() == 1) {
     // CSR: two passes (count, then fill) keep each bucket's rows ascending.
@@ -127,30 +129,74 @@ ColumnarIndex::ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols,
     }
     return;
   }
-  for (size_t row = 0; row < n; ++row) {
-    uint64_t code = 0;
-    for (size_t p = 0; p < key_cols_.size(); ++p) {
-      code += radix_[p] * cols_->codes(key_cols_[p])[row];
+  if (MixedRadix(*cols_, key_cols_, &radix_)) {
+    for (size_t row = 0; row < n; ++row) {
+      buckets_[CompositeCode(*cols_, key_cols_, radix_, row)].push_back(
+          static_cast<uint32_t>(row));
     }
-    buckets_[code].push_back(static_cast<uint32_t>(row));
+    return;
   }
+  // Wide key: sort the rows by their code tuple instead. The sort is
+  // stable, so each tuple's rows stay ascending.
+  radix_.clear();
+  rows_.resize(n);
+  std::iota(rows_.begin(), rows_.end(), 0u);
+  std::stable_sort(rows_.begin(), rows_.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t col : key_cols_) {
+      uint32_t ca = cols_->codes(col)[a];
+      uint32_t cb = cols_->codes(col)[b];
+      if (ca != cb) return ca < cb;
+    }
+    return false;
+  });
+}
+
+int ColumnarIndex::CompareRow(uint32_t row, const uint32_t* key) const {
+  for (size_t p = 0; p < key_cols_.size(); ++p) {
+    uint32_t code = cols_->codes(key_cols_[p])[row];
+    if (code != key[p]) return code < key[p] ? -1 : 1;
+  }
+  return 0;
 }
 
 size_t ColumnarIndex::num_buckets() const {
-  if (overflow_) return 0;
   // Single-column CSR buckets are never empty: every dictionary entry came
   // from at least one row, so the bucket count is the dictionary size.
-  if (key_cols_.size() == 1) return offsets_.empty() ? 0 : offsets_.size() - 1;
-  return buckets_.size();
+  if (key_cols_.size() == 1) return offsets_.size() - 1;
+  if (!radix_.empty()) return buckets_.size();
+  size_t buckets = 0;
+  std::vector<uint32_t> prev(key_cols_.size());
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (i == 0 || CompareRow(rows_[i], prev.data()) != 0) ++buckets;
+    for (size_t p = 0; p < key_cols_.size(); ++p) {
+      prev[p] = cols_->codes(key_cols_[p])[rows_[i]];
+    }
+  }
+  return buckets;
 }
 
-void ColumnarIndex::Lookup(uint64_t code, const uint32_t** rows,
+void ColumnarIndex::Lookup(const uint32_t* key, const uint32_t** rows,
                            size_t* count) const {
   if (key_cols_.size() == 1) {
-    *rows = rows_.data() + offsets_[code];
-    *count = offsets_[code + 1] - offsets_[code];
+    *rows = rows_.data() + offsets_[key[0]];
+    *count = offsets_[key[0] + 1] - offsets_[key[0]];
     return;
   }
+  if (radix_.empty()) {
+    auto lo = std::lower_bound(rows_.begin(), rows_.end(), key,
+                               [&](uint32_t row, const uint32_t* k) {
+                                 return CompareRow(row, k) < 0;
+                               });
+    auto hi = std::upper_bound(lo, rows_.end(), key,
+                               [&](const uint32_t* k, uint32_t row) {
+                                 return CompareRow(row, k) > 0;
+                               });
+    *rows = rows_.data() + (lo - rows_.begin());
+    *count = static_cast<size_t>(hi - lo);
+    return;
+  }
+  uint64_t code = 0;
+  for (size_t p = 0; p < key_cols_.size(); ++p) code += radix_[p] * key[p];
   auto it = buckets_.find(code);
   if (it == buckets_.end()) {
     *rows = nullptr;

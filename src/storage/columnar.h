@@ -18,11 +18,12 @@
 /// without ever touching a `Value` on the hot path.
 ///
 /// `ColumnarIndex` is the columnar analogue of `HashIndex`: rows grouped by
-/// the (composite) code of a key-column list. Single-column keys use a CSR
-/// layout (offset array indexed by code — an O(1) probe with no hashing);
-/// multi-column keys use a hash map over the mixed-radix composite code.
-/// Bucket row ids are ascending, matching `HashIndex`, so the two
-/// executors enumerate matches in the same order.
+/// the codes of a key-column list. Single-column keys use a CSR layout
+/// (offset array indexed by code — an O(1) probe with no hashing);
+/// multi-column keys use a hash map over the mixed-radix composite code,
+/// or, when that code would overflow 64 bits, rows sorted by their code
+/// tuple. Bucket row ids are ascending, matching `HashIndex`, so the join
+/// executor enumerates matches in the reference matcher's order.
 
 #ifndef PDB_STORAGE_COLUMNAR_H_
 #define PDB_STORAGE_COLUMNAR_H_
@@ -97,7 +98,7 @@ size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols);
 
 /// Equality index over a relation's code columns: rows grouped by the
-/// composite code of `key_cols`. Bucket rows ascend, matching `HashIndex`.
+/// codes of `key_cols`. Bucket rows ascend, matching `HashIndex`.
 class ColumnarIndex {
  public:
   /// Builds the index; keeps `cols` alive for its own lifetime.
@@ -106,33 +107,32 @@ class ColumnarIndex {
 
   const std::vector<size_t>& key_cols() const { return key_cols_; }
 
-  /// True when the mixed-radix composite code would not fit in 64 bits
-  /// (astronomically wide keys); callers fall back to the row-path
-  /// `HashIndex` executor in that case.
-  bool composite_overflow() const { return overflow_; }
+  /// Rows whose key columns carry the codes `key[0 .. key_cols().size())`
+  /// (each a valid code of its column), as a pointer + count span (empty
+  /// when no row has that key).
+  void Lookup(const uint32_t* key, const uint32_t** rows,
+              size_t* count) const;
 
-  /// Mixed-radix multiplier of key part `p`: a composite code is
-  /// sum over p of part_code[p] * radix(p).
-  uint64_t radix(size_t p) const { return radix_[p]; }
-
-  /// Rows whose composite key code equals `code`, as a pointer + count
-  /// span (empty when the code has no rows).
-  void Lookup(uint64_t code, const uint32_t** rows, size_t* count) const;
-
-  /// Number of non-empty buckets — the distinct composite key count this
-  /// index observed (0 when the composite overflowed). Single-column keys
-  /// have one bucket per dictionary entry by construction.
+  /// Number of non-empty buckets — the distinct key count this index
+  /// observed. Single-column keys have one bucket per dictionary entry by
+  /// construction.
   size_t num_buckets() const;
 
  private:
+  /// Three-way comparison of `row`'s key codes with `key` (wide keys).
+  int CompareRow(uint32_t row, const uint32_t* key) const;
+
   std::shared_ptr<const ColumnarRelation> cols_;
   std::vector<size_t> key_cols_;
+  // Multi-column key: mixed-radix multipliers of the composite code, or
+  // empty when the code would overflow 64 bits (a wide key).
   std::vector<uint64_t> radix_;
-  bool overflow_ = false;
   // Single-column key: CSR over the column's code space.
   std::vector<uint32_t> offsets_;  // size = dict size + 1
-  std::vector<uint32_t> rows_;     // row ids grouped by code, ascending
-  // Multi-column key: buckets over the (sparse) composite code space.
+  // Single-column key: row ids grouped by code, ascending within a code.
+  // Wide key: row ids sorted by code tuple, ascending within a tuple.
+  std::vector<uint32_t> rows_;
+  // Multi-column key that fits: buckets over the composite code space.
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
 };
 

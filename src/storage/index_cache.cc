@@ -45,15 +45,6 @@ std::shared_ptr<const T> IndexCache::GetOrBuildEntry(Key key, bool* built,
   return entry;
 }
 
-std::shared_ptr<const HashIndex> IndexCache::GetOrBuild(
-    const Relation& relation, const std::vector<size_t>& key_cols,
-    bool* built) {
-  Key key{&relation, key_cols, Flavor::kHash};
-  return GetOrBuildEntry<HashIndex>(std::move(key), built, [&] {
-    return std::make_shared<const HashIndex>(relation, key_cols);
-  });
-}
-
 std::shared_ptr<const ColumnarRelation> IndexCache::GetOrBuildColumnar(
     const Relation& relation, bool* built) {
   Key key{&relation, {}, Flavor::kColumnar};

@@ -1,14 +1,15 @@
 /// \file index_cache.h
-/// \brief Session-lifetime cache of `HashIndex` instances.
+/// \brief Session-lifetime cache of the join executor's columnar indexes.
 ///
-/// The grounding engine (boolean/lineage.cc) probes one hash index per
-/// join step with bound positions. Before this cache existed every query
-/// rebuilt those indexes from scratch — O(rows) hashing per query per
-/// atom — even when a session served thousands of identical joins against
-/// an unchanged database. The cache is keyed by (relation identity, key
-/// columns) and hands out `shared_ptr<const HashIndex>`, so a reader keeps
-/// its index alive across a concurrent `Clear()` (generation invalidation)
-/// without locks on the probe path of the index itself.
+/// The grounding engine (boolean/lineage.cc) runs over each relation's
+/// columnar image and probes one `ColumnarIndex` per join step with bound
+/// positions. Without this cache every query would rebuild those indexes
+/// from scratch — O(rows) per query per atom — even when a session served
+/// thousands of identical joins against an unchanged database. The cache
+/// is keyed by (relation identity, key columns) and hands out
+/// `shared_ptr<const ...>`, so a reader keeps its index alive across a
+/// concurrent `Clear()` (generation invalidation) without locks on the
+/// probe path of the index itself.
 ///
 /// Concurrency follows the WmcCache idiom: the key space is partitioned
 /// into mutex-striped shards, and a build happens inside the shard lock so
@@ -39,9 +40,9 @@
 
 namespace pdb {
 
-/// Aggregated counters of one `IndexCache`. Hash indexes, columnar images,
-/// and columnar code indexes all count here — they share the shards and
-/// the generation-invalidation lifecycle.
+/// Aggregated counters of one `IndexCache`. Columnar images and columnar
+/// code indexes both count here — they share the shards and the
+/// generation-invalidation lifecycle.
 struct IndexCacheStats {
   uint64_t builds = 0;  ///< indexes constructed (cache misses)
   uint64_t hits = 0;    ///< requests served by an existing index
@@ -55,7 +56,7 @@ struct IndexCacheOptions {
   size_t num_shards = 8;
 };
 
-/// Sharded, thread-safe cache of hash indexes keyed by
+/// Sharded, thread-safe cache of columnar images and code indexes keyed by
 /// (relation address, key columns).
 class IndexCache {
  public:
@@ -64,25 +65,17 @@ class IndexCache {
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
 
-  /// Returns the index of `relation` keyed on `key_cols`, building it under
-  /// the shard lock on first request. When `built` is non-null it is set to
-  /// whether this call constructed the index (for per-query accounting).
-  /// The returned pointer stays valid after `Clear()` for as long as the
-  /// caller holds it.
-  std::shared_ptr<const HashIndex> GetOrBuild(const Relation& relation,
-                                              const std::vector<size_t>&
-                                                  key_cols,
-                                              bool* built = nullptr);
-
-  /// The dictionary-encoded columnar image of `relation`, cached next to
-  /// the hash indexes (the build itself is delegated to — and also cached
-  /// on — the relation, so a rebuilt cache after `Clear()` reattaches to
-  /// the existing image instead of re-encoding).
+  /// The dictionary-encoded columnar image of `relation` (the build itself
+  /// is delegated to — and also cached on — the relation, so a rebuilt
+  /// cache after `Clear()` reattaches to the existing image instead of
+  /// re-encoding). When `built` is non-null it is set to whether this call
+  /// created the entry (for per-query accounting). The returned pointer
+  /// stays valid after `Clear()` for as long as the caller holds it.
   std::shared_ptr<const ColumnarRelation> GetOrBuildColumnar(
       const Relation& relation, bool* built = nullptr);
 
-  /// The columnar code index of `relation` keyed on `key_cols` — the
-  /// vectorized executor's analogue of `GetOrBuild`.
+  /// The columnar code index of `relation` keyed on `key_cols`, built under
+  /// the shard lock on first request; `built` and lifetime as above.
   std::shared_ptr<const ColumnarIndex> GetOrBuildColumnarIndex(
       const Relation& relation, const std::vector<size_t>& key_cols,
       bool* built = nullptr);
@@ -95,12 +88,12 @@ class IndexCache {
  private:
   /// Entry flavours share the key space; `key_cols` is empty for the
   /// whole-relation columnar image.
-  enum class Flavor : uint8_t { kHash, kColumnar, kColumnarIndex };
+  enum class Flavor : uint8_t { kColumnar, kColumnarIndex };
 
   struct Key {
     const Relation* relation;
     std::vector<size_t> key_cols;
-    Flavor flavor = Flavor::kHash;
+    Flavor flavor = Flavor::kColumnar;
     bool operator==(const Key& other) const {
       return relation == other.relation && flavor == other.flavor &&
              key_cols == other.key_cols;
@@ -111,7 +104,7 @@ class IndexCache {
   };
   struct Shard {
     mutable std::mutex mu;
-    // Type-erased so one shard map holds all three flavours; the typed
+    // Type-erased so one shard map holds both flavours; the typed
     // getters cast back according to Key::flavor.
     std::unordered_map<Key, std::shared_ptr<const void>, KeyHash> map;
   };

@@ -5,7 +5,7 @@
 /// builds — the cost is negligible next to inference work and database bugs
 /// are far cheaper caught loudly). PDB_DCHECK compiles out in NDEBUG builds.
 /// PDB_ASSERT is for checks too expensive for production (component
-/// disjointness sweeps, clone-order verification): it is compiled in only
+/// disjointness sweeps): it is compiled in only
 /// when the build sets -DPDB_ASSERTIONS=ON (see the top-level CMake option),
 /// which CI exercises in a dedicated Debug job.
 

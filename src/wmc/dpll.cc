@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <utility>
 
-#include "exec/parallel.h"
-#include "exec/thread_pool.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -80,7 +77,6 @@ Result<double> DpllCounter::Compute(NodeId root) {
     options_.exec->AddCacheHits(stats_.cache_hits);
     options_.exec->AddDpllDecisions(stats_.decisions);
     options_.exec->AddDpllComponentSplits(stats_.component_splits);
-    options_.exec->AddDpllParallelSplits(stats_.parallel_splits);
     options_.exec->AddWmcSharedHits(stats_.shared_hits);
     options_.exec->AddWmcSharedMisses(stats_.shared_misses);
   }
@@ -234,15 +230,6 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
       }
       PDB_ASSERT(GroupsAreVarDisjoint(mgr_, groups));
       ++stats_.component_splits;
-      if (options_.parallel_components && options_.exec &&
-          options_.exec->pool() && sink == nullptr &&
-          mgr_->VarsOf(f).size() >= options_.parallel_min_vars) {
-        auto parallel = CountComponentsParallel(f, groups);
-        if (parallel.ok() && shared_key) {
-          options_.shared_cache->Insert(*shared_key, parallel->value);
-        }
-        return parallel;
-      }
       double product = 1.0;
       std::vector<DpllTraceSink::Ref> refs;
       for (const auto& members : groups) {
@@ -305,94 +292,6 @@ std::optional<WmcCache::Key> DpllCounter::SharedKey(NodeId f) {
   key.sig = mgr_->SignatureOf(f);
   key.weight_fp = WeightFingerprint(vars, weights_);
   return key;
-}
-
-Result<DpllCounter::CacheEntry> DpllCounter::CountComponentsParallel(
-    NodeId f, const std::vector<std::vector<NodeId>>& groups) {
-  ++stats_.parallel_splits;
-  // Clone every component into a private manager up front, on the calling
-  // thread: the shared manager is mutable (hash-consing, VarsOf/Cofactor
-  // memos) and must not be touched from workers. Clones preserve variable
-  // ids and relative node order (ExportTo), so each child search is
-  // isomorphic to what the sequential recursion would have done.
-  struct ChildTask {
-    std::unique_ptr<FormulaManager> mgr;
-    NodeId root = 0;
-  };
-  std::vector<ChildTask> tasks;
-  tasks.reserve(groups.size());
-  for (const auto& members : groups) {
-    NodeId component = mgr_->And(members);
-    ChildTask task;
-    task.mgr = std::make_unique<FormulaManager>();
-    task.root = mgr_->ExportTo(component, task.mgr.get());
-    tasks.push_back(std::move(task));
-  }
-  // Saturating: every child of an earlier parallel split was granted the
-  // full remaining budget, so after a successful split the summed child
-  // decisions can exceed max_decisions — a plain subtraction would wrap
-  // and hand later children an effectively unlimited budget.
-  const uint64_t remaining_decisions =
-      options_.max_decisions == UINT64_MAX ? UINT64_MAX
-      : stats_.decisions >= options_.max_decisions
-          ? 0
-          : options_.max_decisions - stats_.decisions;
-
-  // One child counter per component, run via ParallelReduce: workers claim
-  // components (the caller participates, so a saturated or nested pool
-  // degrades to inline execution rather than deadlocking), results are
-  // materialised per component and folded on this thread in canonical
-  // (ascending smallest-VarId) order — the exact multiplication order of
-  // the sequential loop, so the product is bit-identical. Children inherit
-  // the session-shared cache pointer, so sibling components publish to and
-  // probe one cache while the search runs.
-  struct Outcome {
-    double product = 1.0;
-    Status status;
-    DpllStats stats;
-  };
-  Outcome merged = ParallelReduce<Outcome>(
-      options_.exec, tasks.size(), Outcome{},
-      [&](size_t i) {
-        DpllOptions child_options = options_;
-        child_options.trace = nullptr;
-        child_options.max_decisions = remaining_decisions;
-        // Weights are indexed by VarId, which the clone preserves.
-        DpllCounter child(tasks[i].mgr.get(), weights_, child_options);
-        Outcome out;
-        auto entry = child.Count(tasks[i].root);
-        out.stats = child.stats_;
-        if (entry.ok()) {
-          out.product = entry->value;
-        } else {
-          out.status = entry.status();
-        }
-        return out;
-      },
-      [](Outcome acc, Outcome part) {
-        acc.product *= part.product;
-        if (acc.status.ok() && !part.status.ok()) acc.status = part.status;
-        acc.stats.decisions += part.stats.decisions;
-        acc.stats.cache_hits += part.stats.cache_hits;
-        acc.stats.component_splits += part.stats.component_splits;
-        acc.stats.parallel_splits += part.stats.parallel_splits;
-        acc.stats.shared_hits += part.stats.shared_hits;
-        acc.stats.shared_misses += part.stats.shared_misses;
-        acc.stats.shared_probe_ns += part.stats.shared_probe_ns;
-        return acc;
-      });
-  stats_.decisions += merged.stats.decisions;
-  stats_.cache_hits += merged.stats.cache_hits;
-  stats_.component_splits += merged.stats.component_splits;
-  stats_.parallel_splits += merged.stats.parallel_splits;
-  stats_.shared_hits += merged.stats.shared_hits;
-  stats_.shared_misses += merged.stats.shared_misses;
-  stats_.shared_probe_ns += merged.stats.shared_probe_ns;
-  PDB_RETURN_NOT_OK(merged.status);
-  CacheEntry result;
-  result.value = merged.product;
-  cache_.emplace(f, result);
-  return result;
 }
 
 }  // namespace pdb

@@ -64,33 +64,13 @@ struct DpllOptions {
   /// gracefully to sampling instead of hanging; on success it feeds the
   /// context's cache-hit counter.
   ExecContext* exec = nullptr;
-  /// Count variable-disjoint components on separate pool workers when
-  /// `exec` carries a pool (and no trace sink is attached — the trace is
-  /// inherently sequential). Each component is cloned into a private
-  /// FormulaManager with `ExportTo` (the shared manager is not
-  /// thread-safe); the monotone clone keeps the child search isomorphic to
-  /// the sequential one, and child results are multiplied in component
-  /// order on the calling thread, so the count is bit-identical to the
-  /// sequential run. Children poll the shared ExecContext, so deadlines
-  /// and cancellation propagate into every branch. The one semantic
-  /// divergence: `max_decisions` is granted per parallel subtree rather
-  /// than shared globally, and child cache entries are not visible to the
-  /// rest of the parent search — so near the budget limit the parallel and
-  /// sequential searches may exhaust it at different points. The computed
-  /// value, when both succeed, is bit-identical.
-  bool parallel_components = true;
-  /// Minimum variables under a conjunction before its components are
-  /// solved in parallel; smaller splits stay sequential (cloning overhead
-  /// would dominate).
-  size_t parallel_min_vars = 24;
   /// Optional session-owned cross-query cache (wmc/wmc_cache.h), probed
   /// after the counter's local NodeId cache and published to on every
   /// non-trivial subresult. Keys are canonical structural signatures plus a
   /// weight fingerprint, so a hit short-circuits an *identical* subproblem
   /// and the returned count is bit-identical to recomputing it. Ignored
   /// while a trace sink is attached (the trace must actually be built).
-  /// Parallel component children inherit the pointer, so sibling components
-  /// and concurrent queries of one session see each other's work.
+  /// Concurrent queries of one session see each other's work through it.
   WmcCache* shared_cache = nullptr;
   /// Minimum variables in a subformula before the shared cache is probed;
   /// below this the signature/fingerprint hashing costs more than the
@@ -98,13 +78,11 @@ struct DpllOptions {
   size_t shared_cache_min_vars = 4;
 };
 
-/// Statistics of a DPLL run (parallel children are merged in).
+/// Statistics of a DPLL run.
 struct DpllStats {
   uint64_t decisions = 0;
   uint64_t cache_hits = 0;
   uint64_t component_splits = 0;
-  /// Component splits whose children were solved on pool workers.
-  uint64_t parallel_splits = 0;
   /// Probes answered by the session-shared cross-query cache.
   uint64_t shared_hits = 0;
   /// Probes of the shared cache that missed.
@@ -137,12 +115,6 @@ class DpllCounter {
   };
 
   Result<CacheEntry> Count(NodeId f);
-  /// Solves the component groups of conjunction `f` on pool workers and
-  /// returns the (deterministically merged) product. `groups` holds the
-  /// components' child lists in canonical (ascending smallest-VarId)
-  /// order — the same order the sequential loop multiplies in.
-  Result<CacheEntry> CountComponentsParallel(
-      NodeId f, const std::vector<std::vector<NodeId>>& groups);
   /// Shared-cache key for `f`, or nullopt when the shared cache is off,
   /// a trace sink is attached, or `f` is below the probe threshold.
   std::optional<WmcCache::Key> SharedKey(NodeId f);

@@ -2,14 +2,13 @@
 // the same random (database, query) cases and cross-checked pairwise.
 //
 // 8 seeds x 25 rounds = 200 random cases. Per case the reference value is
-// sequential DPLL with component decomposition; against it we check
+// DPLL with component decomposition; against it we check
 //  - DPLL without components            (same arithmetic, reordered: 1e-9)
-//  - DPLL components + 4 pool workers   (bit-identical: EXPECT_EQ)
 //  - DPLL + shared WMC cache, cold/warm (bit-identical: EXPECT_EQ)
 //  - brute-force enumeration            (ground truth when <= 18 vars)
 //  - lifted inference                   (when the query is safe)
 //  - OBDD and decision-DNNF compilation (exact backends)
-//  - Karp-Luby sampling                 (within 4 sigma)
+//  - Karp-Luby sampling on 4 pool workers (within 4 sigma)
 // Any disagreement is a bug in at least one backend.
 
 #include <gtest/gtest.h>
@@ -36,8 +35,8 @@ class DifferentialConsistency : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
   Rng rng(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
-  // One shared 4-wide pool for the whole seed: this is exactly the shape a
-  // Session provides, and it exercises pool reuse across many queries.
+  // One shared 4-wide pool for the whole seed, as a Session provides: the
+  // Karp-Luby shards below reuse it across many queries.
   ThreadPool pool(4);
   // One shared WMC cache for the whole seed, like a Session's: entries from
   // earlier rounds stay live (distinct formula managers, overlapping
@@ -55,62 +54,44 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     const WeightMap weights = WeightsFromProbabilities(lineage->probs);
 
     // Grounding differential: the compiled join engine — under both
-    // join-order policies, with the pool attached and the parallel
-    // thresholds forced all the way down — must reproduce the reference
-    // backtracking matcher's match stream exactly, and the lineage DAG it
-    // builds must be node-for-node the one built sequentially above.
-    // (Checked before any DPLL below, which adds cofactor nodes to `mgr`.)
-    {
-      ExecContext gctx(&pool);
-      GroundingOptions grounding;
-      grounding.exec = &gctx;
-      grounding.parallel_min_rows = 1;
-      grounding.parallel_min_matches = 1;
-      for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-        std::vector<std::vector<size_t>> expected;
-        ASSERT_TRUE(EnumerateCqMatchesReference(cq, db,
-                                                [&](const CqMatch& m) {
-                                                  std::vector<size_t> rows;
-                                                  for (const LineageVar& lv :
-                                                       m.atom_rows) {
-                                                    rows.push_back(lv.row);
-                                                  }
-                                                  expected.push_back(
-                                                      std::move(rows));
-                                                })
-                        .ok());
-        for (AtomOrderPolicy policy : {AtomOrderPolicy::kCostBased,
-                                       AtomOrderPolicy::kSyntactic}) {
-          GroundingOptions per_policy = grounding;
-          per_policy.order = policy;
-          std::vector<std::vector<size_t>> actual;
-          Status st = EnumerateCqMatches(
-              cq, db,
-              [&](const CqMatch& m) {
-                std::vector<size_t> rows;
-                for (const LineageVar& lv : m.atom_rows) {
-                  rows.push_back(lv.row);
-                }
-                actual.push_back(std::move(rows));
-              },
-              per_policy);
-          ASSERT_TRUE(st.ok());
-          EXPECT_EQ(actual, expected);
-        }
+    // join-order policies — must reproduce the reference backtracking
+    // matcher's match stream exactly.
+    for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+      std::vector<std::vector<size_t>> expected;
+      ASSERT_TRUE(EnumerateCqMatchesReference(cq, db,
+                                              [&](const CqMatch& m) {
+                                                std::vector<size_t> rows;
+                                                for (const LineageVar& lv :
+                                                     m.atom_rows) {
+                                                  rows.push_back(lv.row);
+                                                }
+                                                expected.push_back(
+                                                    std::move(rows));
+                                              })
+                      .ok());
+      for (AtomOrderPolicy policy : {AtomOrderPolicy::kCostBased,
+                                     AtomOrderPolicy::kSyntactic}) {
+        GroundingOptions per_policy;
+        per_policy.order = policy;
+        std::vector<std::vector<size_t>> actual;
+        Status st = EnumerateCqMatches(
+            cq, db,
+            [&](const CqMatch& m) {
+              std::vector<size_t> rows;
+              for (const LineageVar& lv : m.atom_rows) {
+                rows.push_back(lv.row);
+              }
+              actual.push_back(std::move(rows));
+            },
+            per_policy);
+        ASSERT_TRUE(st.ok());
+        EXPECT_EQ(actual, expected);
       }
-      FormulaManager par_mgr;
-      auto par_lineage = BuildUcqLineage(ucq, db, &par_mgr, grounding);
-      ASSERT_TRUE(par_lineage.ok());
-      EXPECT_EQ(par_lineage->root, lineage->root);
-      EXPECT_EQ(par_mgr.NumNodes(), mgr.NumNodes());
-      EXPECT_EQ(par_lineage->probs, lineage->probs);
     }
 
-    // Reference: sequential DPLL with component decomposition.
-    DpllOptions seq_options;
-    seq_options.parallel_components = false;
-    DpllCounter seq(&mgr, weights, seq_options);
-    auto reference = seq.Compute(lineage->root);
+    // Reference: DPLL with component decomposition.
+    DpllCounter exact(&mgr, weights);
+    auto reference = exact.Compute(lineage->root);
     ASSERT_TRUE(reference.ok());
     ASSERT_GE(*reference, -1e-12);
     ASSERT_LE(*reference, 1.0 + 1e-12);
@@ -124,18 +105,6 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     ASSERT_TRUE(flat_value.ok());
     EXPECT_NEAR(*flat_value, *reference, 1e-9);
 
-    // DPLL with components solved on 4 pool workers, threshold 0 so every
-    // split goes through the parallel path: bit-identical to sequential.
-    ExecContext ctx(&pool);
-    DpllOptions par_options;
-    par_options.exec = &ctx;
-    par_options.parallel_min_vars = 0;
-    DpllCounter par(&mgr, weights, par_options);
-    auto par_value = par.Compute(lineage->root);
-    ASSERT_TRUE(par_value.ok());
-    EXPECT_EQ(*par_value, *reference);
-    EXPECT_EQ(par.stats().component_splits, seq.stats().component_splits);
-
     // DPLL against the seed-lifetime shared cache, twice: the first run
     // may hit entries published by any earlier round, the second run hits
     // at least its own top-level entry. Every hit must be bit-identical to
@@ -143,25 +112,12 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     // cross-query memoization.
     for (int warm = 0; warm < 2; ++warm) {
       DpllOptions cached_options;
-      cached_options.parallel_components = false;
       cached_options.shared_cache = &shared_cache;
       cached_options.shared_cache_min_vars = 2;
       DpllCounter cached(&mgr, weights, cached_options);
       auto cached_value = cached.Compute(lineage->root);
       ASSERT_TRUE(cached_value.ok());
       EXPECT_EQ(*cached_value, *reference);
-    }
-    // Parallel components and the shared cache combined.
-    {
-      DpllOptions both_options;
-      both_options.exec = &ctx;
-      both_options.parallel_min_vars = 0;
-      both_options.shared_cache = &shared_cache;
-      both_options.shared_cache_min_vars = 2;
-      DpllCounter both(&mgr, weights, both_options);
-      auto both_value = both.Compute(lineage->root);
-      ASSERT_TRUE(both_value.ok());
-      EXPECT_EQ(*both_value, *reference);
     }
 
     // Ground truth by brute-force enumeration (2^n assignments).
@@ -198,6 +154,7 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     auto dnf = BuildUcqDnf(ucq, db);
     ASSERT_TRUE(dnf.ok());
     if (!dnf->terms.empty()) {
+      ExecContext ctx(&pool);
       Rng mc_rng(rng.Next());
       auto estimate =
           KarpLubyDnf(dnf->terms, dnf->probs, 20000, &mc_rng, &ctx);

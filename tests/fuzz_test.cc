@@ -16,8 +16,6 @@
 #include "storage/env.h"
 #include "storage/wal.h"
 #include "storage/write_batch.h"
-#include "exec/context.h"
-#include "exec/thread_pool.h"
 #include "kc/obdd.h"
 #include "kc/order.h"
 #include "kc/trace_compiler.h"
@@ -109,8 +107,7 @@ TEST_P(AtomOrderFuzz, ShuffledAtomOrdersAgree) {
       }
       ConjunctiveQuery permuted(atoms);
       SCOPED_TRACE(permuted.ToString());
-      std::vector<std::vector<size_t>> expected, cost_based, syntactic,
-          columnar;
+      std::vector<std::vector<size_t>> expected, cost_based, syntactic;
       auto collect = [](std::vector<std::vector<size_t>>* out) {
         return [out](const CqMatch& m) {
           std::vector<size_t> rows;
@@ -131,17 +128,8 @@ TEST_P(AtomOrderFuzz, ShuffledAtomOrdersAgree) {
       ASSERT_TRUE(EnumerateCqMatches(permuted, db, collect(&syntactic),
                                      syntactic_options)
                       .ok());
-      // The dense-code columnar fast path, forced on regardless of
-      // relation size, must emit the identical match stream.
-      GroundingOptions columnar_options;
-      columnar_options.order = AtomOrderPolicy::kCostBased;
-      columnar_options.columnar = ColumnarMode::kAlways;
-      ASSERT_TRUE(EnumerateCqMatches(permuted, db, collect(&columnar),
-                                     columnar_options)
-                      .ok());
       EXPECT_EQ(cost_based, expected);
       EXPECT_EQ(syntactic, expected);
-      EXPECT_EQ(columnar, expected);
       // The probability is a property of the query, not of the written
       // atom order (variable numbering differs across permutations, so
       // compare numerically, not structurally).
@@ -242,7 +230,6 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
   // conjunction: the ONLY component split the counter can perform is the
   // planted top-level one, and `component_splits` must be exactly 1.
   Rng rng(GetParam() * 48271 + 7);
-  ThreadPool pool(4);
   for (int round = 0; round < 20; ++round) {
     size_t num_blocks = 2 + rng.Uniform(4);  // >= 2: a real split
     FormulaManager mgr;
@@ -271,32 +258,16 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
     ASSERT_TRUE(flat_value.ok());
     EXPECT_EQ(flat.stats().component_splits, 0u);
 
-    // Components on, sequential: exactly the planted split.
-    DpllOptions sequential;
-    sequential.parallel_components = false;
-    DpllCounter seq(&mgr, WeightsFromProbabilities(probs), sequential);
-    auto seq_value = seq.Compute(root);
-    ASSERT_TRUE(seq_value.ok());
-    EXPECT_EQ(seq.stats().component_splits, 1u);
-    EXPECT_EQ(seq.stats().parallel_splits, 0u);
-    EXPECT_NEAR(*seq_value, *flat_value, 1e-12);
-
-    // Components on, 4 workers, threshold 0: same single split, solved on
-    // the pool, bit-identical to the sequential count.
-    ExecContext ctx(&pool);
-    DpllOptions par;
-    par.exec = &ctx;
-    par.parallel_min_vars = 0;
-    DpllCounter parallel(&mgr, WeightsFromProbabilities(probs), par);
-    auto par_value = parallel.Compute(root);
-    ASSERT_TRUE(par_value.ok());
-    EXPECT_EQ(parallel.stats().component_splits, 1u);
-    EXPECT_EQ(parallel.stats().parallel_splits, 1u);
-    EXPECT_EQ(*par_value, *seq_value);
+    // Components on: exactly the planted split.
+    DpllCounter split(&mgr, WeightsFromProbabilities(probs));
+    auto split_value = split.Compute(root);
+    ASSERT_TRUE(split_value.ok());
+    EXPECT_EQ(split.stats().component_splits, 1u);
+    EXPECT_NEAR(*split_value, *flat_value, 1e-12);
 
     // Ground truth when small enough to enumerate.
     if (probs.size() <= 18) {
-      EXPECT_NEAR(*EnumerateProbability(&mgr, root, probs), *seq_value,
+      EXPECT_NEAR(*EnumerateProbability(&mgr, root, probs), *split_value,
                   1e-12);
     }
   }

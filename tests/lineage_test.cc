@@ -1,8 +1,7 @@
 /// \file lineage_test.cc
 /// \brief The compiled CQ grounding engine: differential equivalence with
-/// the reference matcher (all join orders, all atom permutations), bit-exact
-/// parallel lineage construction, and the session index cache under
-/// concurrency.
+/// the reference matcher (all join orders, all atom permutations) and the
+/// session index cache under concurrency.
 
 #include <algorithm>
 #include <atomic>
@@ -17,7 +16,6 @@
 #include "boolean/lineage.h"
 #include "core/session.h"
 #include "exec/context.h"
-#include "exec/thread_pool.h"
 #include "storage/columnar.h"
 #include "storage/index_cache.h"
 #include "test_common.h"
@@ -29,7 +27,6 @@ namespace {
 using pdb::testing::AddRandomRelation;
 using pdb::testing::RandomCq;
 using pdb::testing::RandomTidOptions;
-using pdb::testing::RandomUcq;
 using pdb::testing::RandomVocabularyDb;
 
 /// Flattened match list: (relation, row) per atom, in emission order.
@@ -129,12 +126,11 @@ TEST(CompiledGrounding, ReportsMissingRelationAndArityMismatch) {
   EXPECT_NE(st.ToString().find("arity mismatch"), std::string::npos);
 }
 
-// 200 random (database, CQ) cases through the vectorized columnar
-// executor, forced on regardless of relation size: the match stream must
-// equal the reference matcher's exactly — same matches, same order — under
-// both join-order policies, and agree with the row path forced off on the
-// same cases. This is the oracle for the dictionary encoding, the code
-// translation tables, and the batch candidate filters.
+// 200 more random (database, CQ) cases, from a second seed stream: the
+// match stream must equal the reference matcher's exactly — same matches,
+// same order — under both join-order policies. This is the oracle for the
+// dictionary encoding, the code translation tables, and the batch
+// candidate filters.
 TEST(ColumnarGrounding, MatchesReferenceOnRandomCases) {
   for (uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(seed * 6151 + 3);
@@ -143,21 +139,15 @@ TEST(ColumnarGrounding, MatchesReferenceOnRandomCases) {
     MatchList expected = CollectReference(cq, db);
     for (AtomOrderPolicy policy :
          {AtomOrderPolicy::kCostBased, AtomOrderPolicy::kSyntactic}) {
-      GroundingOptions columnar;
-      columnar.order = policy;
-      columnar.columnar = ColumnarMode::kAlways;
-      GroundingOptions row;
-      row.order = policy;
-      row.columnar = ColumnarMode::kNever;
-      EXPECT_EQ(Collect(cq, db, columnar), expected)
-          << "seed " << seed << " cq " << cq.ToString();
-      EXPECT_EQ(Collect(cq, db, row), expected)
+      GroundingOptions options;
+      options.order = policy;
+      EXPECT_EQ(Collect(cq, db, options), expected)
           << "seed " << seed << " cq " << cq.ToString();
     }
   }
 }
 
-/// A chain TID big enough to clear both parallel thresholds.
+/// A chain TID: R(i) and S(i, (i + j) mod n) for j < 4.
 Database BigChainDatabase(size_t n) {
   Database db;
   Relation r("R", Schema::Anonymous(1, ValueType::kInt));
@@ -179,120 +169,16 @@ Database BigChainDatabase(size_t n) {
   return db;
 }
 
-// Parallel grounding (fan-out over the pool + per-chunk formula managers
-// merged via AbsorbFrom) must be BIT-identical to the sequential build:
-// same node ids, same variable table, same DPLL probability.
-TEST(ParallelLineage, BitIdenticalToSequential) {
-  Database db = BigChainDatabase(64);
-  Ucq ucq({ConjunctiveQuery(
-      {Atom("R", {Term::Var("x")}),
-       Atom("S", {Term::Var("x"), Term::Var("y")})})});
-
-  FormulaManager seq_mgr;
-  auto seq = BuildUcqLineage(ucq, db, &seq_mgr, GroundingOptions{});
-  ASSERT_TRUE(seq.ok());
-
-  ThreadPool pool(4);
-  ExecContext ctx(&pool);
-  GroundingOptions par_options;
-  par_options.exec = &ctx;
-  par_options.parallel_min_rows = 1;
-  par_options.parallel_min_matches = 1;
-  FormulaManager par_mgr;
-  auto par = BuildUcqLineage(ucq, db, &par_mgr, par_options);
-  ASSERT_TRUE(par.ok());
-
-  // Structural bit-identity: same root id in managers with identical node
-  // counts and an identical variable table means the two managers hold the
-  // very same DAG — every downstream computation (DPLL included) is then
-  // identical by construction.
-  EXPECT_EQ(par->root, seq->root);
-  EXPECT_EQ(par_mgr.NumNodes(), seq_mgr.NumNodes());
-  ASSERT_EQ(par->vars.size(), seq->vars.size());
-  for (size_t i = 0; i < par->vars.size(); ++i) {
-    EXPECT_EQ(par->vars[i].relation, seq->vars[i].relation);
-    EXPECT_EQ(par->vars[i].row, seq->vars[i].row);
-  }
-  EXPECT_EQ(par->probs, seq->probs);
-
-  ExecReport report = ctx.Report();
-  EXPECT_GT(report.lineage_matches, 0u);
-  EXPECT_GT(report.lineage_nodes, 0u);
-}
-
-// Random UCQs through the parallel path agree with sequential on the exact
-// probability across many seeds.
-TEST(ParallelLineage, RandomUcqsBitIdentical) {
-  ThreadPool pool(3);
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(seed * 31 + 5);
-    Database db = RandomVocabularyDb(&rng);
-    Ucq ucq = RandomUcq(&rng);
-
-    FormulaManager seq_mgr;
-    auto seq = BuildUcqLineage(ucq, db, &seq_mgr, GroundingOptions{});
-    ASSERT_TRUE(seq.ok());
-
-    ExecContext ctx(&pool);
-    GroundingOptions par_options;
-    par_options.exec = &ctx;
-    par_options.parallel_min_rows = 1;
-    par_options.parallel_min_matches = 1;
-    FormulaManager par_mgr;
-    auto par = BuildUcqLineage(ucq, db, &par_mgr, par_options);
-    ASSERT_TRUE(par.ok());
-
-    EXPECT_EQ(par->root, seq->root) << "seed " << seed;
-    EXPECT_EQ(par_mgr.NumNodes(), seq_mgr.NumNodes()) << "seed " << seed;
-    EXPECT_EQ(par->probs, seq->probs) << "seed " << seed;
-  }
-}
-
-// Past the columnar row threshold the vectorized path is the default.
-// Sequential-columnar, parallel-columnar, and the forced row path must all
-// build the very same lineage DAG — same root, same node count, same
-// variable table, same probabilities — on a self-join that exercises the
-// cross-column code translation tables.
-TEST(ColumnarLineage, BitIdenticalAcrossPathsAndParallelism) {
+// A self-join whose second S probe keys on a slot bound by the first S:
+// the probe goes through the cross-column code translation table.
+TEST(ColumnarGrounding, SelfJoinMatchesReference) {
   Database db = BigChainDatabase(96);
-  Ucq ucq({ConjunctiveQuery(
-      {Atom("R", {Term::Var("x")}),
-       Atom("S", {Term::Var("x"), Term::Var("y")}),
-       Atom("S", {Term::Var("y"), Term::Var("z")})})});
-
-  FormulaManager row_mgr;
-  GroundingOptions row_options;
-  row_options.columnar = ColumnarMode::kNever;
-  auto row = BuildUcqLineage(ucq, db, &row_mgr, row_options);
-  ASSERT_TRUE(row.ok());
-
-  FormulaManager col_mgr;
-  GroundingOptions col_options;
-  col_options.columnar = ColumnarMode::kAlways;
-  auto col = BuildUcqLineage(ucq, db, &col_mgr, col_options);
-  ASSERT_TRUE(col.ok());
-
-  ThreadPool pool(4);
-  ExecContext ctx(&pool);
-  GroundingOptions par_options = col_options;
-  par_options.exec = &ctx;
-  par_options.parallel_min_rows = 1;
-  par_options.parallel_min_matches = 1;
-  FormulaManager par_mgr;
-  auto par = BuildUcqLineage(ucq, db, &par_mgr, par_options);
-  ASSERT_TRUE(par.ok());
-
-  EXPECT_EQ(col->root, row->root);
-  EXPECT_EQ(col_mgr.NumNodes(), row_mgr.NumNodes());
-  ASSERT_EQ(col->vars.size(), row->vars.size());
-  for (size_t i = 0; i < col->vars.size(); ++i) {
-    EXPECT_EQ(col->vars[i].relation, row->vars[i].relation);
-    EXPECT_EQ(col->vars[i].row, row->vars[i].row);
-  }
-  EXPECT_EQ(col->probs, row->probs);
-  EXPECT_EQ(par->root, row->root);
-  EXPECT_EQ(par_mgr.NumNodes(), row_mgr.NumNodes());
-  EXPECT_EQ(par->probs, row->probs);
+  ConjunctiveQuery cq({Atom("R", {Term::Var("x")}),
+                       Atom("S", {Term::Var("x"), Term::Var("y")}),
+                       Atom("S", {Term::Var("y"), Term::Var("z")})});
+  MatchList expected = CollectReference(cq, db);
+  EXPECT_EQ(expected.size(), 96u * 16u);
+  EXPECT_EQ(Collect(cq, db, GroundingOptions{}), expected);
 }
 
 // A query constant absent from every dictionary takes the impossible
@@ -301,10 +187,55 @@ TEST(ColumnarGrounding, AbsentConstantYieldsNoMatches) {
   Database db = BigChainDatabase(64);
   ConjunctiveQuery cq({Atom("S", {Term::Const(Value(int64_t{-5})),
                                   Term::Var("y")})});
-  GroundingOptions columnar;
-  columnar.columnar = ColumnarMode::kAlways;
-  EXPECT_TRUE(Collect(cq, db, columnar).empty());
+  EXPECT_TRUE(Collect(cq, db, GroundingOptions{}).empty());
   EXPECT_TRUE(CollectReference(cq, db).empty());
+}
+
+// Two 8-column relations of 256 rows with 256 distinct values per column,
+// joined on all 8 columns: the composite key spans 256^8 = 2^64 codes, one
+// past what a 64-bit mixed-radix code holds. B lists A's rows in reverse,
+// so every A row matches exactly one B row and the pairing is not the
+// identity.
+TEST(ColumnarGrounding, WideCompositeKeyMatchesReference) {
+  constexpr int64_t kRows = 256;
+  constexpr int64_t kCols = 8;
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < kRows; ++i) {
+    Tuple t;
+    // An odd multiplier is a bijection mod 256: 256 distinct values per
+    // column.
+    for (int64_t c = 0; c < kCols; ++c) {
+      t.push_back(Value((i * (2 * c + 1) + c) % kRows));
+    }
+    rows.push_back(std::move(t));
+  }
+  Database db;
+  Relation a("A", Schema::Anonymous(kCols, ValueType::kInt));
+  Relation b("B", Schema::Anonymous(kCols, ValueType::kInt));
+  for (int64_t i = 0; i < kRows; ++i) {
+    PDB_CHECK(a.AddTuple(rows[i], 0.5).ok());
+    PDB_CHECK(b.AddTuple(rows[kRows - 1 - i], 0.5).ok());
+  }
+  PDB_CHECK(db.AddRelation(std::move(a)).ok());
+  PDB_CHECK(db.AddRelation(std::move(b)).ok());
+  std::vector<Term> args;
+  for (int64_t c = 0; c < kCols; ++c) {
+    args.push_back(Term::Var("x" + std::to_string(c)));
+  }
+  ConjunctiveQuery cq({Atom("A", args), Atom("B", args)});
+  MatchList expected = CollectReference(cq, db);
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kRows));
+  IndexCache cache;
+  ExecContext ctx;
+  ctx.set_index_cache(&cache);
+  for (AtomOrderPolicy policy :
+       {AtomOrderPolicy::kCostBased, AtomOrderPolicy::kSyntactic}) {
+    GroundingOptions options;
+    options.order = policy;
+    EXPECT_EQ(Collect(cq, db, options), expected);
+    options.exec = &ctx;  // the session-cached index
+    EXPECT_EQ(Collect(cq, db, options), expected);
+  }
 }
 
 TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
@@ -313,12 +244,12 @@ TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
   const Relation* s = db.Get("S").value();
   IndexCache cache;
   bool built = false;
-  auto a = cache.GetOrBuild(*s, {0}, &built);
+  auto a = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
   EXPECT_TRUE(built);
-  auto b = cache.GetOrBuild(*s, {0}, &built);
+  auto b = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(a.get(), b.get());
-  auto c = cache.GetOrBuild(*s, {1}, &built);
+  auto c = cache.GetOrBuildColumnarIndex(*s, {1}, &built);
   EXPECT_TRUE(built);
   EXPECT_NE(a.get(), c.get());
   IndexCacheStats stats = cache.stats();
@@ -330,9 +261,8 @@ TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
 }
 
 // Columnar images and columnar code indexes are cached under their own
-// flavors: distinct from hash-index entries over the same (relation,
-// columns), hit on re-request, and reattached to the relation's own
-// sidecar after a Clear (the image is not rebuilt from scratch).
+// flavors: hit on re-request, and the image is reattached to the
+// relation's own sidecar after a Clear (not rebuilt from scratch).
 TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
   Rng rng(6);
   Database db = RandomVocabularyDb(&rng);
@@ -349,13 +279,10 @@ TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
   auto idx_again = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(idx.get(), idx_again.get());
-  auto hash = cache.GetOrBuild(*s, {0}, &built);
-  EXPECT_TRUE(built);  // hash flavor over {0} is a separate entry
-  EXPECT_NE(hash.get(), nullptr);
   IndexCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.builds, 3u);
+  EXPECT_EQ(stats.builds, 2u);
   EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.entries, 2u);
   cache.Clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   auto img_fresh = cache.GetOrBuildColumnar(*s, &built);
@@ -367,7 +294,7 @@ TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
     uint32_t code = cols.codes(0)[row];
     const uint32_t* rows = nullptr;
     size_t count = 0;
-    idx->Lookup(code, &rows, &count);
+    idx->Lookup(&code, &rows, &count);
     EXPECT_TRUE(std::find(rows, rows + count, row) != rows + count);
   }
 }
@@ -391,14 +318,17 @@ TEST(IndexCacheTest, ConcurrentClientsAndClears) {
         std::vector<size_t> cols =
             local.Bernoulli(0.5) ? std::vector<size_t>{0}
                                  : std::vector<size_t>{1};
-        auto index = cache.GetOrBuild(*rel, cols);
-        // The shared_ptr keeps the index alive across concurrent clears.
+        // The shared_ptrs keep the image and index alive across
+        // concurrent clears.
+        auto image = cache.GetOrBuildColumnar(*rel);
+        auto index = cache.GetOrBuildColumnarIndex(*rel, cols);
         size_t row = local.Uniform(rel->size());
-        Tuple key = {rel->tuple(row)[cols[0]]};
-        const std::vector<size_t>& bucket = index->Lookup(key);
-        EXPECT_FALSE(bucket.empty());
-        EXPECT_TRUE(std::find(bucket.begin(), bucket.end(), row) !=
-                    bucket.end());
+        uint32_t code = image->codes(cols[0])[row];
+        const uint32_t* rows = nullptr;
+        size_t count = 0;
+        index->Lookup(&code, &rows, &count);
+        EXPECT_GT(count, 0u);
+        EXPECT_TRUE(std::find(rows, rows + count, row) != rows + count);
       }
     });
   }

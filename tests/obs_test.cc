@@ -843,8 +843,6 @@ TEST(SessionMetricsTest, TickersMatchCumulativeReportAfterMixedWorkload) {
   EXPECT_EQ(counter("pdb_dpll_cache_hits_total"), report.cache_hits);
   EXPECT_EQ(counter("pdb_dpll_component_splits_total"),
             report.dpll_component_splits);
-  EXPECT_EQ(counter("pdb_dpll_parallel_splits_total"),
-            report.dpll_parallel_splits);
   EXPECT_EQ(counter("pdb_wmc_shared_hits_total"), report.wmc_shared_hits);
   EXPECT_EQ(counter("pdb_wmc_shared_misses_total"), report.wmc_shared_misses);
   EXPECT_EQ(counter("pdb_wmc_shared_inserts_total"),

@@ -213,13 +213,14 @@ TEST(ColumnarIndexTest, SingleColumnCsrLookup) {
   ASSERT_TRUE(rel.AddTuple({Value(2), Value(12)}, 1).ok());
   auto cols = ColumnarRelation::Build(rel);
   ColumnarIndex index(cols, {0});
-  EXPECT_FALSE(index.composite_overflow());
   const uint32_t* rows = nullptr;
   size_t count = 0;
-  index.Lookup(cols->CodeOf(0, Value(1)), &rows, &count);
+  uint32_t key = cols->CodeOf(0, Value(1));
+  index.Lookup(&key, &rows, &count);
   ASSERT_EQ(count, 1u);
   EXPECT_EQ(rows[0], 1u);
-  index.Lookup(cols->CodeOf(0, Value(2)), &rows, &count);
+  key = cols->CodeOf(0, Value(2));
+  index.Lookup(&key, &rows, &count);
   ASSERT_EQ(count, 2u);
   EXPECT_EQ(rows[0], 0u);  // bucket rows ascend, matching HashIndex
   EXPECT_EQ(rows[1], 2u);
@@ -233,19 +234,68 @@ TEST(ColumnarIndexTest, CompositeKeyLookup) {
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(10), Value(1)}, 1).ok());
   auto cols = ColumnarRelation::Build(rel);
   ColumnarIndex index(cols, {0, 1});
-  EXPECT_FALSE(index.composite_overflow());
-  uint64_t code = index.radix(0) * cols->CodeOf(0, Value(1)) +
-                  index.radix(1) * cols->CodeOf(1, Value(10));
+  uint32_t key[] = {cols->CodeOf(0, Value(1)), cols->CodeOf(1, Value(10))};
   const uint32_t* rows = nullptr;
   size_t count = 0;
-  index.Lookup(code, &rows, &count);
+  index.Lookup(key, &rows, &count);
   ASSERT_EQ(count, 2u);
   EXPECT_EQ(rows[0], 0u);
   EXPECT_EQ(rows[1], 3u);
-  // A composite code nobody has resolves to the empty span.
-  uint64_t absent = index.radix(0) * cols->CodeOf(0, Value(2)) +
-                    index.radix(1) * cols->CodeOf(1, Value(11));
+  // A key combination nobody has resolves to the empty span.
+  uint32_t absent[] = {cols->CodeOf(0, Value(2)), cols->CodeOf(1, Value(11))};
   index.Lookup(absent, &rows, &count);
+  EXPECT_EQ(count, 0u);
+}
+
+// An 8-column key with 256 distinct values per column spans 256^8 = 2^64
+// composite codes, past a 64-bit mixed-radix code. Every key occurs twice
+// (a ninth column tells the copies apart) and one code tuple occurs never.
+TEST(ColumnarIndexTest, WideCompositeKeyLookup) {
+  constexpr int64_t kRows = 256;
+  constexpr size_t kCols = 8;
+  Relation rel("W", Schema::Anonymous(kCols + 1));
+  for (int64_t copy = 0; copy < 2; ++copy) {
+    for (int64_t i = 0; i < kRows; ++i) {
+      // Copy 1 lists the keys in a different order than copy 0.
+      int64_t k = copy == 0 ? i : (i * 3) % kRows;
+      Tuple t;
+      for (size_t c = 0; c < kCols; ++c) {
+        t.push_back(Value((k * static_cast<int64_t>(2 * c + 1) +
+                           static_cast<int64_t>(c)) %
+                          kRows));
+      }
+      t.push_back(Value(copy));
+      ASSERT_TRUE(rel.AddTuple(std::move(t), 1).ok());
+    }
+  }
+  auto cols = ColumnarRelation::Build(rel);
+  std::vector<size_t> key_cols = {0, 1, 2, 3, 4, 5, 6, 7};
+  ColumnarIndex index(cols, key_cols);
+  EXPECT_EQ(index.num_buckets(), static_cast<size_t>(kRows));
+  EXPECT_EQ(DistinctComposite(*cols, key_cols), 0u);  // overflows 64 bits
+  for (size_t row = 0; row < rel.size(); ++row) {
+    std::vector<uint32_t> key;
+    for (size_t c : key_cols) key.push_back(cols->codes(c)[row]);
+    std::vector<uint32_t> want;
+    for (size_t other = 0; other < rel.size(); ++other) {
+      bool same = true;
+      for (size_t c : key_cols) {
+        same = same && cols->codes(c)[other] == cols->codes(c)[row];
+      }
+      if (same) want.push_back(static_cast<uint32_t>(other));
+    }
+    ASSERT_EQ(want.size(), 2u);
+    const uint32_t* rows = nullptr;
+    size_t count = 0;
+    index.Lookup(key.data(), &rows, &count);
+    EXPECT_EQ(std::vector<uint32_t>(rows, rows + count), want)
+        << "row " << row;
+  }
+  // No row carries value 0 in every key column.
+  std::vector<uint32_t> absent(kCols, cols->CodeOf(0, Value(0)));
+  const uint32_t* rows = nullptr;
+  size_t count = 1;
+  index.Lookup(absent.data(), &rows, &count);
   EXPECT_EQ(count, 0u);
 }
 

@@ -33,29 +33,40 @@ TEST(FormulaSignatureTest, StableAcrossBuildOrder) {
   EXPECT_EQ(a.SignatureOf(fa), b.SignatureOf(fb));
 }
 
-TEST(FormulaSignatureTest, StableAcrossExport) {
-  FormulaManager src;
-  // Unrelated nodes first: they shift every later NodeId, so the compact
-  // clone below lands on different ids than the source.
-  src.And(src.Var(40), src.Var(41));
+TEST(FormulaSignatureTest, StableAcrossInterningOrder) {
+  // One random formula, built in two managers whose nodes were interned in
+  // a different order: `a` interns unrelated nodes first and builds the
+  // terms front to back, `b` builds them back to front with every term's
+  // literals reversed. NodeIds differ between the two; the signature must
+  // not.
   Rng rng(11);
-  std::vector<NodeId> terms;
-  for (int t = 0; t < 6; ++t) {
-    std::vector<NodeId> lits;
+  std::vector<std::vector<std::pair<VarId, bool>>> terms(6);
+  for (auto& term : terms) {
     for (int l = 0; l < 3; ++l) {
-      NodeId v = src.Var(static_cast<VarId>(rng.Uniform(10)));
-      lits.push_back(rng.Bernoulli(0.3) ? src.Not(v) : v);
+      VarId v = static_cast<VarId>(rng.Uniform(10));
+      term.emplace_back(v, rng.Bernoulli(0.3));
     }
-    terms.push_back(src.And(std::move(lits)));
   }
-  NodeId f = src.Or(std::move(terms));
-
-  // ExportTo requires a pristine destination (terminals only); the clone
-  // renumbers the reachable nodes densely, so ids differ from the source.
-  FormulaManager dst;
-  NodeId g = src.ExportTo(f, &dst);
-  EXPECT_NE(f, g);
-  EXPECT_EQ(src.SignatureOf(f), dst.SignatureOf(g));
+  auto build = [&](FormulaManager* m, bool reversed) {
+    std::vector<NodeId> nodes;
+    for (size_t t = 0; t < terms.size(); ++t) {
+      const auto& term = terms[reversed ? terms.size() - 1 - t : t];
+      std::vector<NodeId> lits;
+      for (size_t l = 0; l < term.size(); ++l) {
+        const auto& [v, negated] = term[reversed ? term.size() - 1 - l : l];
+        lits.push_back(negated ? m->Not(m->Var(v)) : m->Var(v));
+      }
+      nodes.push_back(m->And(std::move(lits)));
+    }
+    return m->Or(std::move(nodes));
+  };
+  FormulaManager a;
+  a.And(a.Var(40), a.Var(41));
+  NodeId fa = build(&a, false);
+  FormulaManager b;
+  NodeId fb = build(&b, true);
+  EXPECT_NE(fa, fb);
+  EXPECT_EQ(a.SignatureOf(fa), b.SignatureOf(fb));
 }
 
 TEST(FormulaSignatureTest, DistinguishesStructure) {
