@@ -526,7 +526,7 @@ class JoinExecutor {
     if (k_ == 0) {
       // An empty conjunction is `true`: exactly one empty match.
       empty_cq_ = true;
-      if (exec_ != nullptr) exec_->AddLineageMatches(1);
+      if (exec_ != nullptr) exec_->Add(ExecCounter::kLineageMatches, 1);
       RecordProfile();
       return;
     }
@@ -540,7 +540,9 @@ class JoinExecutor {
       RunFrom(0);
       Canonicalize();
     }
-    if (exec_ != nullptr) exec_->AddLineageMatches(num_matches());
+    if (exec_ != nullptr) {
+      exec_->Add(ExecCounter::kLineageMatches, num_matches());
+    }
     RecordProfile();
   }
 
@@ -679,8 +681,8 @@ class JoinExecutor {
     }
     key_.assign(max_key, 0);
     if (exec_ != nullptr) {
-      if (builds > 0) exec_->AddIndexBuilds(builds);
-      if (hits > 0) exec_->AddIndexCacheHits(hits);
+      if (builds > 0) exec_->Add(ExecCounter::kIndexBuilds, builds);
+      if (hits > 0) exec_->Add(ExecCounter::kIndexCacheHits, hits);
     }
   }
 
@@ -888,7 +890,7 @@ Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
   lineage.vars = vars.TakeVars();
   lineage.probs = vars.TakeProbs();
   if (exec != nullptr) {
-    exec->AddLineageNodes(mgr->NumNodes() - nodes_before);
+    exec->Add(ExecCounter::kLineageNodes, mgr->NumNodes() - nodes_before);
   }
   return lineage;
 }
@@ -917,7 +919,8 @@ Result<DnfLineage> BuildUcqDnf(const Ucq& ucq, const Database& db,
   out.vars = vars.TakeVars();
   out.probs = vars.TakeProbs();
   if (options.exec != nullptr) {
-    options.exec->AddLineageNodes(out.terms.size() + out.vars.size());
+    options.exec->Add(ExecCounter::kLineageNodes,
+                      out.terms.size() + out.vars.size());
   }
   return out;
 }

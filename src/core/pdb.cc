@@ -93,12 +93,6 @@ Result<QueryAnswer> ProbDatabase::Query(const std::string& query_text,
   return session.Query(query_text, options);
 }
 
-Result<QueryAnswer> ProbDatabase::QueryFo(const FoPtr& sentence,
-                                          const QueryOptions& options) const {
-  Session session(this, SingleShotOptions(options));
-  return session.QueryFo(sentence, options);
-}
-
 Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
     const FoPtr& sentence, const QueryOptions& options,
     ExecContext* ctx) const {
@@ -169,7 +163,7 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
       // The FO grounder has no ExecContext plumbing of its own; account
       // for its node production here so pdb_lineage_nodes_total covers the
       // grounded-exact path, not just the UCQ engine.
-      if (ctx != nullptr) ctx->AddLineageNodes(mgr->NumNodes());
+      if (ctx != nullptr) ctx->Add(ExecCounter::kLineageNodes, mgr->NumNodes());
     }
     lineage_span.AddCounter("lineage_vars", lineage.vars.size());
   }

@@ -58,10 +58,11 @@ struct QueryAnswer {
   double std_error = 0.0;
   std::string explanation;
   /// Execution counters for this query (threads, samples, cache hits,
-  /// whether a deadline fired). Populated by Query/QueryFo.
+  /// whether a deadline fired).
   ExecReport report;
-  /// Per-phase trace of this execution when `QueryOptions::trace` was set;
-  /// null otherwise (and on answers restored from the result cache before
+  /// Per-phase trace of this execution when `QueryOptions::trace` was set
+  /// or the caller passed a trace to the Session entry point; null
+  /// otherwise (and on answers restored from the result cache before
   /// tracing — the trace of a cache hit covers only parse + cache probe).
   std::shared_ptr<const QueryTrace> trace;
 };
@@ -155,10 +156,6 @@ class ProbDatabase {
   Result<QueryAnswer> Query(const std::string& query_text,
                             const QueryOptions& options = {}) const;
 
-  /// Evaluates a Boolean FO sentence.
-  Result<QueryAnswer> QueryFo(const FoPtr& sentence,
-                              const QueryOptions& options = {}) const;
-
   /// Evaluates a non-Boolean conjunctive query: `head_vars` become the
   /// output columns, and each distinct answer tuple carries its marginal
   /// probability. The CQ's remaining variables are existential. When
@@ -201,8 +198,8 @@ class ProbDatabase {
  private:
   friend class Session;
 
-  /// Strategy-selection pipeline behind QueryFo, running against an
-  /// already-configured execution context (pool + deadline).
+  /// Strategy-selection pipeline behind every Boolean query, running
+  /// against an already-configured execution context (pool + deadline).
   Result<QueryAnswer> QueryFoWithContext(const FoPtr& sentence,
                                          const QueryOptions& options,
                                          ExecContext* ctx) const;

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -37,38 +38,88 @@ uint64_t MicrosSince(ExecContext::Clock::time_point start) {
           .count());
 }
 
+/// Which front end a text statement takes.
+enum class Syntax { kFo, kSqlBoolean, kSqlAnswers };
+
+/// A text statement after its front end.
+struct Statement {
+  FoPtr sentence;        ///< Boolean statements
+  CompiledSql compiled;  ///< SQL: the CQ and, for column selects, its head
+  QueryOptions options;  ///< the caller's, with WITH STDERR applied
+};
+
+/// The front end of every text statement, inside its parse (FO/UCQ text)
+/// or compile (SQL) span: checks the statement is the kind its entry point
+/// answers and applies a WITH STDERR clause to the options.
+Result<Statement> FrontEnd(const std::string& text, Syntax syntax,
+                           const Database& db, const QueryOptions& options,
+                           QueryTrace* trace) {
+  Statement out{nullptr, {}, options};
+  if (syntax == Syntax::kFo) {
+    TraceSpan parse_span(trace, TracePhase::kParse);
+    PDB_ASSIGN_OR_RETURN(out.sentence, ParseBooleanQuery(text));
+    return out;
+  }
+  TraceSpan compile_span(trace, TracePhase::kCompile);
+  PDB_ASSIGN_OR_RETURN(out.compiled, CompileSql(text, db));
+  const bool boolean = syntax == Syntax::kSqlBoolean;
+  if (out.compiled.boolean != boolean) {
+    return Status::InvalidArgument(
+        boolean ? "query selects columns; use QuerySqlAnswers (or SELECT "
+                  "PROB())"
+                : "SELECT PROB() is Boolean; use QuerySqlBoolean");
+  }
+  if (out.compiled.target_stderr > 0) {
+    out.options.monte_carlo_target_stderr = out.compiled.target_stderr;
+  }
+  if (boolean) out.sentence = Ucq({out.compiled.cq}).ToFo();
+  return out;
+}
+
 }  // namespace
 
-/// RAII registration of one in-flight ExecContext: visible to
-/// Session::CancelInFlight() between construction and destruction, and
-/// counted in the pdb_requests_in_flight gauge when top-level.
-class InFlightGuard {
+/// The execution context of one engine run through the session: the
+/// session pool (unless the query asks for sequential execution), the
+/// shared caches, the trace, the join profile and the deadline. It is
+/// visible to Session::CancelInFlight() while it lives, and its report is
+/// folded into the session's tickers when it goes, on every exit path.
+class LiveContext {
  public:
-  InFlightGuard(Session* session, ExecContext* ctx, bool top_level)
-      : session_(session), ctx_(ctx), top_level_(top_level) {
+  LiveContext(Session* session, const QueryOptions& options,
+              QueryTrace* trace, JoinProfile* profile)
+      : session_(session),
+        ctx_(options.exec.num_threads == 1 ? nullptr : session->pool()) {
+    ctx_.set_wmc_cache(session->wmc_cache());
+    ctx_.set_index_cache(session->index_cache());
+    ctx_.set_trace(trace);
+    ctx_.set_join_profile(profile);
+    ctx_.SetDeadline(options.exec.deadline_ms);  // 0 leaves it disarmed
     std::lock_guard<std::mutex> lock(session_->mu_);
-    session_->live_contexts_.insert(ctx_);
-    if (top_level_) {
-      ++session_->top_level_in_flight_;
-      session_->tickers_.requests_in_flight->Add(1);
-    }
+    session_->live_contexts_.insert(&ctx_);
   }
-  ~InFlightGuard() {
+  ~LiveContext() {
+    const ExecReport& folded = report();
     std::lock_guard<std::mutex> lock(session_->mu_);
-    session_->live_contexts_.erase(ctx_);
-    if (top_level_) {
-      --session_->top_level_in_flight_;
-      session_->tickers_.requests_in_flight->Add(-1);
-    }
+    session_->live_contexts_.erase(&ctx_);
+    session_->AggregateLocked(folded);
   }
 
-  InFlightGuard(const InFlightGuard&) = delete;
-  InFlightGuard& operator=(const InFlightGuard&) = delete;
+  LiveContext(const LiveContext&) = delete;
+  LiveContext& operator=(const LiveContext&) = delete;
+
+  ExecContext* get() { return &ctx_; }
+
+  /// The context's counters, snapshotted on first call; the fold uses the
+  /// same snapshot, so an answer's report and the tickers agree.
+  const ExecReport& report() {
+    if (!report_) report_ = ctx_.Report();
+    return *report_;
+  }
 
  private:
   Session* session_;
-  ExecContext* ctx_;
-  bool top_level_;
+  ExecContext ctx_;
+  std::optional<ExecReport> report_;
 };
 
 Session::Session(const ProbDatabase* db, SessionOptions options)
@@ -76,7 +127,6 @@ Session::Session(const ProbDatabase* db, SessionOptions options)
       options_(options),
       resolved_threads_(ResolveThreads(options.num_threads)),
       generation_seen_(db->generation()) {
-  cumulative_.num_threads = resolved_threads_;
   if (options_.share_wmc_cache) {
     if (options_.external_wmc_cache) {
       wmc_cache_ = options_.external_wmc_cache;
@@ -93,6 +143,9 @@ Session::Session(const ProbDatabase* db, SessionOptions options)
     index_cache_ = std::make_unique<IndexCache>(index_options);
   }
   // Resolve every engine ticker once; updates are then lock-free.
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    tickers_.exec[i] = metrics_.GetCounter(kExecCounters[i].metric);
+  }
   tickers_.queries = metrics_.GetCounter("pdb_queries_total");
   tickers_.query_errors = metrics_.GetCounter("pdb_query_errors_total");
   tickers_.result_cache_hits =
@@ -112,26 +165,10 @@ Session::Session(const ProbDatabase* db, SessionOptions options)
       metrics_.GetCounter("pdb_deadline_exceeded_total");
   tickers_.queries_cancelled =
       metrics_.GetCounter("pdb_queries_cancelled_total");
-  tickers_.exec_tasks = metrics_.GetCounter("pdb_exec_tasks_total");
-  tickers_.mc_samples = metrics_.GetCounter("pdb_mc_samples_total");
-  tickers_.mc_batches = metrics_.GetCounter("pdb_mc_batches_total");
-  tickers_.dpll_decisions = metrics_.GetCounter("pdb_dpll_decisions_total");
-  tickers_.dpll_cache_hits = metrics_.GetCounter("pdb_dpll_cache_hits_total");
-  tickers_.dpll_component_splits =
-      metrics_.GetCounter("pdb_dpll_component_splits_total");
-  tickers_.wmc_shared_hits = metrics_.GetCounter("pdb_wmc_shared_hits_total");
-  tickers_.wmc_shared_misses =
-      metrics_.GetCounter("pdb_wmc_shared_misses_total");
   tickers_.wmc_shared_inserts =
       metrics_.GetCounter("pdb_wmc_shared_inserts_total");
   tickers_.wmc_shared_evictions =
       metrics_.GetCounter("pdb_wmc_shared_evictions_total");
-  tickers_.lineage_matches = metrics_.GetCounter("pdb_lineage_matches_total");
-  tickers_.lineage_nodes = metrics_.GetCounter("pdb_lineage_nodes_total");
-  tickers_.index_builds = metrics_.GetCounter("pdb_index_builds_total");
-  tickers_.index_cache_hits =
-      metrics_.GetCounter("pdb_index_cache_hits_total");
-  tickers_.shed = metrics_.GetCounter("pdb_shed_total");
   tickers_.admission_rejected =
       metrics_.GetCounter("pdb_admission_rejected_total");
   tickers_.sessions_active = metrics_.GetGauge("pdb_sessions_active");
@@ -165,15 +202,15 @@ void Session::CancelInFlight() {
 }
 
 int64_t Session::requests_in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return top_level_in_flight_;
+  return tickers_.requests_in_flight->value();
 }
 
 void Session::NoteAdmissionRejected() {
+  // Under mu_ like every fold, so CumulativeReport() never sees the drop
+  // in one ticker and not the other.
   std::lock_guard<std::mutex> lock(mu_);
-  cumulative_.admission_rejected += 1;
   tickers_.admission_rejected->Add(1);
-  tickers_.shed->Add(1);
+  tickers_.exec[static_cast<size_t>(ExecCounter::kShedTasks)]->Add(1);
 }
 
 void Session::InvalidateCache() {
@@ -239,14 +276,10 @@ size_t Session::cache_size() const {
   return cache_.size();
 }
 
-uint64_t Session::queries_served() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queries_served_;
-}
+uint64_t Session::queries_served() const { return tickers_.queries->value(); }
 
 uint64_t Session::result_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return result_cache_hits_;
+  return tickers_.result_cache_hits->value();
 }
 
 WmcCacheStats Session::wmc_cache_stats() const {
@@ -259,10 +292,18 @@ IndexCacheStats Session::index_cache_stats() const {
 
 ExecReport Session::CumulativeReport() const {
   ExecReport report;
+  report.num_threads = resolved_threads_;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    report = cumulative_;
+    std::lock_guard<std::mutex> lock(mu_);  // whole folds only
+    for (size_t i = 0; i < kNumExecCounters; ++i) {
+      report.*kExecCounters[i].field = tickers_.exec[i]->value();
+    }
+    report.admission_rejected = tickers_.admission_rejected->value();
+    report.cancelled = tickers_.queries_cancelled->value() > 0;
+    report.deadline_exceeded = tickers_.deadline_exceeded->value() > 0;
   }
+  // pdb_shed_total also counts the admission drops.
+  report.shed_tasks -= report.admission_rejected;
   if (wmc_cache_) {
     WmcCacheStats stats = wmc_cache_->stats();
     report.wmc_shared_inserts = stats.inserts;
@@ -310,79 +351,56 @@ std::vector<std::shared_ptr<const QueryTrace>> Session::recent_traces()
   return {traces_.begin(), traces_.end()};
 }
 
-void Session::RetainTrace(const std::shared_ptr<QueryTrace>& trace,
-                          bool finish) {
-  if (!trace) return;
-  if (finish) trace->Finish();
-  std::lock_guard<std::mutex> lock(mu_);
-  traces_.push_front(trace);
-  while (traces_.size() > options_.trace_ring_size) traces_.pop_back();
-}
-
 void Session::AggregateLocked(const ExecReport& report) {
-  cumulative_.tasks_run += report.tasks_run;
-  cumulative_.samples_drawn += report.samples_drawn;
-  cumulative_.mc_batches += report.mc_batches;
-  cumulative_.cache_hits += report.cache_hits;
-  cumulative_.dpll_decisions += report.dpll_decisions;
-  cumulative_.dpll_component_splits += report.dpll_component_splits;
-  cumulative_.wmc_shared_hits += report.wmc_shared_hits;
-  cumulative_.wmc_shared_misses += report.wmc_shared_misses;
-  cumulative_.lineage_matches += report.lineage_matches;
-  cumulative_.lineage_nodes += report.lineage_nodes;
-  cumulative_.index_builds += report.index_builds;
-  cumulative_.index_cache_hits += report.index_cache_hits;
-  cumulative_.shed_tasks += report.shed_tasks;
-  cumulative_.admission_rejected += report.admission_rejected;
-  cumulative_.cancelled = cumulative_.cancelled || report.cancelled;
-  cumulative_.deadline_exceeded =
-      cumulative_.deadline_exceeded || report.deadline_exceeded;
-  // Mirror into the registry right here, under the same lock and from the
-  // same report, so the tickers and CumulativeReport() agree by
-  // construction no matter how queries interleave.
-  tickers_.exec_tasks->Add(report.tasks_run);
-  tickers_.mc_samples->Add(report.samples_drawn);
-  tickers_.mc_batches->Add(report.mc_batches);
-  tickers_.dpll_cache_hits->Add(report.cache_hits);
-  tickers_.dpll_decisions->Add(report.dpll_decisions);
-  tickers_.dpll_component_splits->Add(report.dpll_component_splits);
-  tickers_.wmc_shared_hits->Add(report.wmc_shared_hits);
-  tickers_.wmc_shared_misses->Add(report.wmc_shared_misses);
-  tickers_.lineage_matches->Add(report.lineage_matches);
-  tickers_.lineage_nodes->Add(report.lineage_nodes);
-  tickers_.index_builds->Add(report.index_builds);
-  tickers_.index_cache_hits->Add(report.index_cache_hits);
-  // pdb_shed_total covers every form of load shedding: pool tasks degraded
-  // to inline execution plus admission-queue drops (the latter are 0 in
-  // engine reports and arrive via NoteAdmissionRejected).
-  tickers_.shed->Add(report.shed_tasks + report.admission_rejected);
-  tickers_.admission_rejected->Add(report.admission_rejected);
+  for (size_t i = 0; i < kNumExecCounters; ++i) {
+    tickers_.exec[i]->Add(report.*kExecCounters[i].field);
+  }
   if (report.deadline_exceeded) tickers_.deadline_exceeded->Add(1);
   if (report.cancelled) tickers_.queries_cancelled->Add(1);
 }
 
-void Session::TickTopLevelLocked(const Result<QueryAnswer>& answer,
-                                 uint64_t latency_us) {
+template <typename T, typename Body>
+Result<T> Session::TopLevel(const QueryOptions& options,
+                            std::shared_ptr<QueryTrace> trace, bool sql,
+                            Body body) {
+  const ExecContext::Clock::time_point started = ExecContext::Clock::now();
+  const bool own_trace = trace == nullptr && options.trace;
+  if (own_trace) trace = std::make_shared<QueryTrace>();
+  tickers_.requests_in_flight->Add(1);
+  Result<T> result = body(trace.get());
+  tickers_.requests_in_flight->Add(-1);
+  const uint64_t latency_us = MicrosSince(started);
   tickers_.queries->Add(1);
   tickers_.query_latency_us->Record(latency_us);
-  if (!answer.ok()) {
+  if (sql) tickers_.sql_statement_latency_us->Record(latency_us);
+  if (!result.ok()) {
+    // Dashboards read the error rate as errors / pdb_queries_total.
     tickers_.query_errors->Add(1);
-    return;
+  } else if constexpr (std::is_same_v<T, QueryAnswer>) {
+    switch (result->method) {
+      case InferenceMethod::kLifted:
+        tickers_.queries_lifted->Add(1);
+        break;
+      case InferenceMethod::kGroundedExact:
+        tickers_.queries_grounded_exact->Add(1);
+        break;
+      case InferenceMethod::kMonteCarlo:
+        tickers_.queries_monte_carlo->Add(1);
+        break;
+      case InferenceMethod::kPlanBounds:
+        tickers_.queries_plan_bounds->Add(1);
+        break;
+    }
+    if (trace) result->trace = trace;
   }
-  switch (answer->method) {
-    case InferenceMethod::kLifted:
-      tickers_.queries_lifted->Add(1);
-      break;
-    case InferenceMethod::kGroundedExact:
-      tickers_.queries_grounded_exact->Add(1);
-      break;
-    case InferenceMethod::kMonteCarlo:
-      tickers_.queries_monte_carlo->Add(1);
-      break;
-    case InferenceMethod::kPlanBounds:
-      tickers_.queries_plan_bounds->Add(1);
-      break;
+  if (trace) {
+    // A caller's trace stays open for the spans it records after us.
+    if (own_trace) trace->Finish();
+    std::lock_guard<std::mutex> lock(mu_);
+    traces_.push_front(std::move(trace));
+    while (traces_.size() > options_.trace_ring_size) traces_.pop_back();
   }
+  return result;
 }
 
 std::string Session::CacheKey(const FoPtr& sentence,
@@ -408,57 +426,62 @@ std::string Session::CacheKey(const FoPtr& sentence,
 }
 
 Result<QueryAnswer> Session::Query(const std::string& query_text,
-                                   const QueryOptions& options) {
-  return QueryInternal(query_text, options, MakeTrace(options),
-                       /*finish_trace=*/true);
+                                   const QueryOptions& options,
+                                   std::shared_ptr<QueryTrace> trace) {
+  return TopLevel<QueryAnswer>(
+      options, std::move(trace), /*sql=*/false,
+      [&](QueryTrace* t) -> Result<QueryAnswer> {
+        PDB_ASSIGN_OR_RETURN(Statement statement,
+                             FrontEnd(query_text, Syntax::kFo,
+                                      db_->database(), options, t));
+        return QueryFoInternal(statement.sentence, statement.options, t);
+      });
 }
 
-Result<QueryAnswer> Session::QueryTraced(const std::string& query_text,
-                                         const QueryOptions& options,
-                                         std::shared_ptr<QueryTrace> trace) {
-  return QueryInternal(query_text, options, std::move(trace),
-                       /*finish_trace=*/false);
+Result<QueryAnswer> Session::QuerySqlBoolean(
+    const std::string& sql, const QueryOptions& options,
+    std::shared_ptr<QueryTrace> trace) {
+  return TopLevel<QueryAnswer>(
+      options, std::move(trace), /*sql=*/true,
+      [&](QueryTrace* t) -> Result<QueryAnswer> {
+        PDB_ASSIGN_OR_RETURN(Statement statement,
+                             FrontEnd(sql, Syntax::kSqlBoolean,
+                                      db_->database(), options, t));
+        return QueryFoInternal(statement.sentence, statement.options, t);
+      });
 }
 
-Result<QueryAnswer> Session::QueryInternal(const std::string& query_text,
-                                           const QueryOptions& options,
-                                           std::shared_ptr<QueryTrace> trace,
-                                           bool finish_trace) {
-  const ExecContext::Clock::time_point started = ExecContext::Clock::now();
-  FoPtr sentence;
-  {
-    TraceSpan parse_span(trace.get(), TracePhase::kParse);
-    auto parsed = ParseBooleanQuery(query_text);
-    if (!parsed.ok()) {
-      // A query that dies in the parser still counts: dashboards read the
-      // error rate as pdb_query_errors_total / pdb_queries_total.
-      parse_span.End();
-      Result<QueryAnswer> failed = parsed.status();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++queries_served_;
-        TickTopLevelLocked(failed, MicrosSince(started));
-      }
-      RetainTrace(trace, finish_trace);
-      return failed;
-    }
-    sentence = *std::move(parsed);
-  }
-  return QueryFoInternal(sentence, options, /*top_level=*/true,
-                         std::move(trace), finish_trace);
+Result<Relation> Session::QuerySqlAnswers(const std::string& sql,
+                                          const QueryOptions& options,
+                                          std::vector<AnswerTupleInfo>* info,
+                                          std::shared_ptr<QueryTrace> trace) {
+  return TopLevel<Relation>(
+      options, std::move(trace), /*sql=*/true,
+      [&](QueryTrace* t) -> Result<Relation> {
+        PDB_ASSIGN_OR_RETURN(Statement statement,
+                             FrontEnd(sql, Syntax::kSqlAnswers,
+                                      db_->database(), options, t));
+        return QueryWithAnswersInternal(statement.compiled.cq,
+                                        statement.compiled.head_vars,
+                                        statement.options, info, t);
+      });
 }
 
-Result<QueryAnswer> Session::QueryFo(const FoPtr& sentence,
-                                     const QueryOptions& options) {
-  return QueryFoInternal(sentence, options, /*top_level=*/true,
-                         MakeTrace(options));
+Result<Relation> Session::QueryWithAnswers(
+    const ConjunctiveQuery& cq, const std::vector<std::string>& head_vars,
+    const QueryOptions& options, std::vector<AnswerTupleInfo>* info) {
+  return TopLevel<Relation>(options, nullptr, /*sql=*/false,
+                            [&](QueryTrace* t) {
+                              return QueryWithAnswersInternal(
+                                  cq, head_vars, options, info, t);
+                            });
 }
 
-Result<QueryAnswer> Session::QueryFoInternal(
-    const FoPtr& sentence, const QueryOptions& options, bool top_level,
-    std::shared_ptr<QueryTrace> trace, bool finish_trace,
-    JoinProfile* profile, bool bypass_cache) {
-  const ExecContext::Clock::time_point started = ExecContext::Clock::now();
+Result<QueryAnswer> Session::QueryFoInternal(const FoPtr& sentence,
+                                             const QueryOptions& options,
+                                             QueryTrace* trace,
+                                             JoinProfile* profile,
+                                             bool bypass_cache) {
   const bool use_cache = options_.cache_results && !bypass_cache;
   std::string key;
   if (options_.cache_results) key = CacheKey(sentence, options);
@@ -468,7 +491,7 @@ Result<QueryAnswer> Session::QueryFoInternal(
   // the first query after a mutation drops every stale entry.
   uint64_t generation_at_start = db_->generation();
   {
-    TraceSpan probe_span(trace.get(), TracePhase::kCacheProbe);
+    TraceSpan probe_span(trace, TracePhase::kCacheProbe);
     std::optional<QueryAnswer> hit;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -481,12 +504,6 @@ Result<QueryAnswer> Session::QueryFoInternal(
           // fresh report so per-query accounting stays isolated.
           hit->report = ExecReport{};
           hit->explanation += "; session result cache hit";
-          if (top_level) {
-            ++queries_served_;
-            ++result_cache_hits_;
-            Result<QueryAnswer> ok_answer = *hit;
-            TickTopLevelLocked(ok_answer, MicrosSince(started));
-          }
         } else {
           tickers_.result_cache_misses->Add(1);
         }
@@ -494,11 +511,6 @@ Result<QueryAnswer> Session::QueryFoInternal(
     }
     if (hit) {
       probe_span.AddCounter("hit", 1);
-      probe_span.End();
-      if (top_level && trace) {
-        RetainTrace(trace, finish_trace);
-        hit->trace = trace;
-      }
       return *std::move(hit);
     }
   }
@@ -507,29 +519,17 @@ Result<QueryAnswer> Session::QueryFoInternal(
   // over the shared session pool and the session-shared WMC cache. A query
   // that asks for sequential execution gets no pool but still shares the
   // cache.
-  ExecContext ctx(options.exec.num_threads == 1 ? nullptr : pool());
-  ctx.set_wmc_cache(wmc_cache_.get());
-  ctx.set_index_cache(index_cache_.get());
-  ctx.set_trace(trace.get());
-  ctx.set_join_profile(profile);
-  if (options.exec.deadline_ms > 0) ctx.SetDeadline(options.exec.deadline_ms);
-  InFlightGuard in_flight(this, &ctx, top_level);
-  auto answer = db_->QueryFoWithContext(sentence, options, &ctx);
-  ExecReport report = ctx.Report();
-  {
+  LiveContext ctx(this, options, trace, profile);
+  auto answer = db_->QueryFoWithContext(sentence, options, ctx.get());
+  const ExecReport& report = ctx.report();
+  // Cache only if the database never mutated while this query ran: the
+  // current generation must equal the snapshot taken at query start (a
+  // `== generation_seen_` check alone races — a concurrent query could
+  // advance generation_seen_ to a post-mutation generation and make this
+  // stale answer look fresh).
+  if (answer.ok() && options_.cache_results && answer->exact) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (top_level) {
-      ++queries_served_;
-      TickTopLevelLocked(answer, MicrosSince(started));
-    }
-    AggregateLocked(report);
-    // Cache only if the database never mutated while this query ran: the
-    // current generation must equal the snapshot taken at query start (a
-    // `== generation_seen_` check alone races — a concurrent query could
-    // advance generation_seen_ to a post-mutation generation and make this
-    // stale answer look fresh).
-    if (answer.ok() && options_.cache_results && answer->exact &&
-        db_->generation() == generation_at_start &&
+    if (db_->generation() == generation_at_start &&
         generation_at_start == generation_seen_) {
       QueryAnswer cached = *answer;
       cached.report = report;
@@ -538,130 +538,13 @@ Result<QueryAnswer> Session::QueryFoInternal(
     }
   }
   if (answer.ok()) answer->report = report;
-  // Fan-out sub-queries only contribute spans; the owning call finishes
-  // and retains the trace.
-  if (top_level && trace) {
-    RetainTrace(trace, finish_trace);
-    if (answer.ok()) answer->trace = trace;
-  }
   return answer;
 }
 
-Result<Relation> Session::QueryWithAnswers(
-    const ConjunctiveQuery& cq, const std::vector<std::string>& head_vars,
-    const QueryOptions& options, std::vector<AnswerTupleInfo>* info) {
-  return QueryWithAnswersTraced(cq, head_vars, options, info,
-                                MakeTrace(options));
-}
-
-Result<QueryAnswer> Session::QuerySqlBoolean(const std::string& sql,
-                                             const QueryOptions& options) {
-  return QuerySqlBooleanInternal(sql, options, MakeTrace(options),
-                                 /*finish_trace=*/true);
-}
-
-Result<QueryAnswer> Session::QuerySqlBooleanTraced(
-    const std::string& sql, const QueryOptions& options,
-    std::shared_ptr<QueryTrace> trace) {
-  return QuerySqlBooleanInternal(sql, options, std::move(trace),
-                                 /*finish_trace=*/false);
-}
-
-Result<QueryAnswer> Session::QuerySqlBooleanInternal(
-    const std::string& sql, const QueryOptions& options,
-    std::shared_ptr<QueryTrace> trace, bool finish_trace) {
-  const ExecContext::Clock::time_point started = ExecContext::Clock::now();
-  CompiledSql compiled;
-  {
-    TraceSpan compile_span(trace.get(), TracePhase::kCompile);
-    auto result = CompileSql(sql, db_->database());
-    if (result.ok() && !result->boolean) {
-      result = Status::InvalidArgument(
-          "query selects columns; use QuerySqlAnswers (or SELECT PROB())");
-    }
-    if (!result.ok()) {
-      compile_span.End();
-      Result<QueryAnswer> failed = result.status();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++queries_served_;
-        TickTopLevelLocked(failed, MicrosSince(started));
-      }
-      tickers_.sql_statement_latency_us->Record(MicrosSince(started));
-      RetainTrace(trace, finish_trace);
-      return failed;
-    }
-    compiled = *std::move(result);
-  }
-  QueryOptions effective = options;
-  if (compiled.target_stderr > 0) {
-    effective.monte_carlo_target_stderr = compiled.target_stderr;
-  }
-  auto answer = QueryFoInternal(Ucq({compiled.cq}).ToFo(), effective,
-                                /*top_level=*/true, std::move(trace),
-                                finish_trace);
-  tickers_.sql_statement_latency_us->Record(MicrosSince(started));
-  return answer;
-}
-
-Result<Relation> Session::QuerySqlAnswers(const std::string& sql,
-                                          const QueryOptions& options,
-                                          std::vector<AnswerTupleInfo>* info) {
-  return QuerySqlAnswersInternal(sql, options, info, MakeTrace(options),
-                                 /*finish_trace=*/true);
-}
-
-Result<Relation> Session::QuerySqlAnswersTraced(
-    const std::string& sql, const QueryOptions& options,
-    std::vector<AnswerTupleInfo>* info, std::shared_ptr<QueryTrace> trace) {
-  return QuerySqlAnswersInternal(sql, options, info, std::move(trace),
-                                 /*finish_trace=*/false);
-}
-
-Result<Relation> Session::QuerySqlAnswersInternal(
-    const std::string& sql, const QueryOptions& options,
-    std::vector<AnswerTupleInfo>* info, std::shared_ptr<QueryTrace> trace,
-    bool finish_trace) {
-  const ExecContext::Clock::time_point started = ExecContext::Clock::now();
-  CompiledSql compiled;
-  {
-    TraceSpan compile_span(trace.get(), TracePhase::kCompile);
-    auto result = CompileSql(sql, db_->database());
-    if (result.ok() && result->boolean) {
-      result = Status::InvalidArgument(
-          "SELECT PROB() is Boolean; use QuerySqlBoolean");
-    }
-    if (!result.ok()) {
-      compile_span.End();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++queries_served_;
-        Result<QueryAnswer> failed = result.status();
-        TickTopLevelLocked(failed, MicrosSince(started));
-      }
-      tickers_.sql_statement_latency_us->Record(MicrosSince(started));
-      RetainTrace(trace, finish_trace);
-      return result.status();
-    }
-    compiled = *std::move(result);
-  }
-  QueryOptions effective = options;
-  if (compiled.target_stderr > 0) {
-    effective.monte_carlo_target_stderr = compiled.target_stderr;
-  }
-  auto out = QueryWithAnswersTraced(compiled.cq, compiled.head_vars,
-                                    effective, info, std::move(trace),
-                                    finish_trace);
-  tickers_.sql_statement_latency_us->Record(MicrosSince(started));
-  return out;
-}
-
-Result<Relation> Session::QueryWithAnswersTraced(
+Result<Relation> Session::QueryWithAnswersInternal(
     const ConjunctiveQuery& cq, const std::vector<std::string>& head_vars,
     const QueryOptions& options, std::vector<AnswerTupleInfo>* info,
-    std::shared_ptr<QueryTrace> trace, bool finish_trace,
-    JoinProfile* profile, ExecReport* report_out) {
-  const ExecContext::Clock::time_point started = ExecContext::Clock::now();
+    QueryTrace* trace, JoinProfile* profile, ExecReport* report_out) {
   const Database& db = db_->database();
   std::set<std::string> vars = cq.Variables();
   for (const std::string& v : head_vars) {
@@ -715,20 +598,14 @@ Result<Relation> Session::QueryWithAnswersTraced(
   // The batch context: shared by the candidate sweep (which grounds
   // through the compiled join engine against the session index cache) and
   // the per-tuple fan-out below.
-  ExecContext ctx(options.exec.num_threads == 1 ? nullptr : pool());
-  ctx.set_wmc_cache(wmc_cache_.get());
-  ctx.set_index_cache(index_cache_.get());
-  ctx.set_trace(trace.get());
-  ctx.set_join_profile(profile);
-  if (options.exec.deadline_ms > 0) ctx.SetDeadline(options.exec.deadline_ms);
-  InFlightGuard in_flight(this, &ctx, /*top_level=*/true);
+  LiveContext ctx(this, options, trace, profile);
 
   {
     // The candidate sweep is the fan-out's grounding step: classify it
     // with the lineage phase.
-    TraceSpan enumerate_span(trace.get(), TracePhase::kLineage);
+    TraceSpan enumerate_span(trace, TracePhase::kLineage);
     GroundingOptions grounding;
-    grounding.exec = &ctx;
+    grounding.exec = ctx.get();
     std::unordered_map<const Relation*, uint64_t> rel_ids;
     PDB_RETURN_NOT_OK(EnumerateCqMatches(cq, db, [&](const CqMatch& match) {
       Tuple head;
@@ -802,7 +679,7 @@ Result<Relation> Session::QueryWithAnswersTraced(
   std::vector<double> marginals(heads.size(), 0.0);
   std::vector<AnswerTupleInfo> infos(heads.size());
   std::vector<Status> statuses(heads.size());
-  ParallelFor(&ctx, heads.size(), [&](size_t s) {
+  ParallelFor(ctx.get(), heads.size(), [&](size_t s) {
     size_t t = schedule[s];
     // Boolean residual query: substitute the head binding.
     ConjunctiveQuery grounded = cq;
@@ -811,8 +688,7 @@ Result<Relation> Session::QueryWithAnswersTraced(
     }
     // Inner queries share the batch trace: their phase spans nest inside
     // the batch wall-time and are excluded from TopLevelNs().
-    auto answer = QueryFoInternal(Ucq({grounded}).ToFo(), inner,
-                                  /*top_level=*/false, trace);
+    auto answer = QueryFoInternal(Ucq({grounded}).ToFo(), inner, trace);
     if (answer.ok()) {
       marginals[t] = answer->probability;
       infos[t].method = answer->method;
@@ -823,19 +699,7 @@ Result<Relation> Session::QueryWithAnswersTraced(
       statuses[t] = answer.status();
     }
   });
-  bool any_error = std::any_of(statuses.begin(), statuses.end(),
-                               [](const Status& s) { return !s.ok(); });
-  ExecReport batch_report = ctx.Report();
-  if (report_out != nullptr) *report_out = batch_report;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++queries_served_;
-    AggregateLocked(batch_report);
-    tickers_.queries->Add(1);
-    tickers_.query_latency_us->Record(MicrosSince(started));
-    if (any_error) tickers_.query_errors->Add(1);
-  }
-  RetainTrace(trace, finish_trace);
+  if (report_out != nullptr) *report_out = ctx.report();
   for (size_t t = 0; t < heads.size(); ++t) {
     PDB_RETURN_NOT_OK(statuses[t]);
     PDB_RETURN_NOT_OK(out.AddTuple(heads[t], marginals[t]));
@@ -903,38 +767,50 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
   }
   auto trace = std::make_shared<QueryTrace>();
   JoinProfile profile;
+  Status executed;
   if (compiled.boolean) {
-    PDB_ASSIGN_OR_RETURN(
-        QueryAnswer answer,
-        QueryFoInternal(sentence, effective, /*top_level=*/true, trace,
-                        /*finish_trace=*/true, &profile,
-                        /*bypass_cache=*/true));
-    out.method = InferenceMethodToString(answer.method);
-    out.probability = answer.probability;
-    out.exact = answer.exact;
-    out.std_error = answer.std_error;
-    out.explanation = answer.explanation;
-    out.report = answer.report;
+    auto answer = TopLevel<QueryAnswer>(
+        effective, trace, /*sql=*/false, [&](QueryTrace* t) {
+          return QueryFoInternal(sentence, effective, t, &profile,
+                                 /*bypass_cache=*/true);
+        });
+    executed = answer.status();
+    if (answer.ok()) {
+      out.method = InferenceMethodToString(answer->method);
+      out.probability = answer->probability;
+      out.exact = answer->exact;
+      out.std_error = answer->std_error;
+      out.explanation = answer->explanation;
+      out.report = answer->report;
+    }
   } else {
     std::vector<AnswerTupleInfo> infos;
-    PDB_ASSIGN_OR_RETURN(
-        Relation answers,
-        QueryWithAnswersTraced(compiled.cq, compiled.head_vars, effective,
-                               &infos, trace, /*finish_trace=*/true,
-                               &profile, &out.report));
-    out.answer_tuples = answers.size();
-    out.exact = !infos.empty();
-    for (const AnswerTupleInfo& info : infos) {
-      const char* m = InferenceMethodToString(info.method);
-      if (out.method.empty()) {
-        out.method = m;
-      } else if (out.method != m) {
-        out.method = "mixed";
+    auto answers = TopLevel<Relation>(
+        effective, trace, /*sql=*/false, [&](QueryTrace* t) {
+          return QueryWithAnswersInternal(compiled.cq, compiled.head_vars,
+                                          effective, &infos, t, &profile,
+                                          &out.report);
+        });
+    executed = answers.status();
+    if (answers.ok()) {
+      out.answer_tuples = answers->size();
+      out.exact = !infos.empty();
+      for (const AnswerTupleInfo& info : infos) {
+        const char* m = InferenceMethodToString(info.method);
+        if (out.method.empty()) {
+          out.method = m;
+        } else if (out.method != m) {
+          out.method = "mixed";
+        }
+        out.exact = out.exact && info.exact;
       }
-      out.exact = out.exact && info.exact;
+      if (out.method.empty()) out.method = "none (no answer candidates)";
     }
-    if (out.method.empty()) out.method = "none (no answer candidates)";
   }
+  // The trace entered the ring open, like any caller's trace: finish it
+  // on every path.
+  trace->Finish();
+  PDB_RETURN_NOT_OK(executed);
   out.executed = true;
   out.trace = TraceData::FromTrace(*trace);
   // Executed plans (candidate sweep / grounding / Monte Carlo re-ground).

@@ -9,12 +9,31 @@
 /// oversubscribing the machine. All entry points are thread-safe: issue
 /// queries from as many threads as you like against one session.
 ///
+/// Entry points: `Query` (FO or UCQ text), `QuerySqlBoolean`,
+/// `QuerySqlAnswers`, `QueryWithAnswers` (a CQ with head variables) and
+/// `ExplainSql`. Each call takes one path: a front end (parse or compile),
+/// the engine, and one accounting step that counts the call whatever its
+/// outcome — one `pdb_queries_total`, one latency sample, one
+/// `pdb_query_errors_total` on failure, and its trace, if any, kept in the
+/// ring.
+///
+/// Traces: `Query`, `QuerySqlBoolean` and `QuerySqlAnswers` take an
+/// optional caller trace, which takes precedence over
+/// `QueryOptions::trace`. The engine records its spans into it and the
+/// session keeps it in `recent_traces()` but does not finish it: the caller
+/// records its trailing spans and calls `Finish()` itself. That is how the
+/// server puts transport spans (http_parse, admission_wait, http_respond)
+/// and engine spans on one timeline. Without a caller trace,
+/// `QueryOptions::trace` makes the session record a trace of its own,
+/// finish it, and attach it to `QueryAnswer::trace`.
+///
 /// Lifecycle:
 ///  - construction binds the session to a `ProbDatabase` and resolves the
 ///    pool width; no threads are spawned until the first parallel query;
 ///  - each query runs against its own `ExecContext` (private counters, own
 ///    deadline), so per-query `ExecReport`s are isolated even under heavy
-///    concurrency, while `CumulativeReport()` aggregates across them;
+///    concurrency; each report is folded into the session's metrics
+///    registry, which `CumulativeReport()` reads back;
 ///  - exact answers are cached by (sentence, relevant options); the cache
 ///    is invalidated when the database's mutation generation changes
 ///    (`ProbDatabase::AddRelation` bumps it; direct mutation through
@@ -29,6 +48,7 @@
 #ifndef PDB_CORE_SESSION_H_
 #define PDB_CORE_SESSION_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -83,9 +103,9 @@ struct SessionOptions {
   /// are pure functions of (formula structure, weights), so an entry can
   /// never serve a mismatched lookup (see wmc/wmc_cache.h).
   std::shared_ptr<WmcCache> external_wmc_cache = nullptr;
-  /// How many finished query traces `recent_traces()` retains (oldest
-  /// evicted first). Only queries run with `QueryOptions::trace` enter the
-  /// ring.
+  /// How many query traces `recent_traces()` retains (oldest evicted
+  /// first). Only traced queries (`QueryOptions::trace` or a caller's
+  /// trace) enter the ring.
   size_t trace_ring_size = 32;
   /// Share one join-index cache (storage/index_cache.h) across every CQ
   /// grounding issued through the session, so repeated queries (and the
@@ -110,13 +130,11 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Parses and evaluates a Boolean query (same syntax as
-  /// `ProbDatabase::Query`).
+  /// `ProbDatabase::Query`). `trace`, when given, records the call (see the
+  /// file comment).
   Result<QueryAnswer> Query(const std::string& query_text,
-                            const QueryOptions& options = {});
-
-  /// Evaluates a Boolean FO sentence.
-  Result<QueryAnswer> QueryFo(const FoPtr& sentence,
-                              const QueryOptions& options = {});
+                            const QueryOptions& options = {},
+                            std::shared_ptr<QueryTrace> trace = nullptr);
 
   /// Non-Boolean conjunctive query: answer tuples with marginal
   /// probabilities; the per-tuple fan-out runs on the session pool and the
@@ -131,34 +149,20 @@ class Session {
   /// Evaluates "SELECT PROB() FROM ... WHERE ... [WITH STDERR s]"
   /// (sql/sql.h). A WITH STDERR clause sets the adaptive Monte Carlo
   /// target standard error for this statement, overriding
-  /// `QueryOptions::monte_carlo_target_stderr`.
+  /// `QueryOptions::monte_carlo_target_stderr`. `trace` as in Query.
   Result<QueryAnswer> QuerySqlBoolean(const std::string& sql,
-                                      const QueryOptions& options = {});
+                                      const QueryOptions& options = {},
+                                      std::shared_ptr<QueryTrace> trace =
+                                          nullptr);
 
   /// Evaluates a column-select SQL statement: answer tuples with
-  /// marginals; `info` as in QueryWithAnswers.
+  /// marginals; `info` as in QueryWithAnswers, `trace` as in Query.
   Result<Relation> QuerySqlAnswers(const std::string& sql,
                                    const QueryOptions& options = {},
                                    std::vector<AnswerTupleInfo>* info =
+                                       nullptr,
+                                   std::shared_ptr<QueryTrace> trace =
                                        nullptr);
-
-  /// As Query / QuerySqlBoolean / QuerySqlAnswers, but recording into a
-  /// caller-provided trace: the server threads one trace per HTTP request
-  /// through these so transport spans (http_parse, admission_wait,
-  /// http_respond) and engine spans land on one timeline. The trace is
-  /// retained in the ring but NOT finished — the caller records its
-  /// trailing spans and calls `trace->Finish()` itself. A null trace makes
-  /// these identical to the untraced entry points.
-  Result<QueryAnswer> QueryTraced(const std::string& query_text,
-                                  const QueryOptions& options,
-                                  std::shared_ptr<QueryTrace> trace);
-  Result<QueryAnswer> QuerySqlBooleanTraced(const std::string& sql,
-                                            const QueryOptions& options,
-                                            std::shared_ptr<QueryTrace> trace);
-  Result<Relation> QuerySqlAnswersTraced(const std::string& sql,
-                                         const QueryOptions& options,
-                                         std::vector<AnswerTupleInfo>* info,
-                                         std::shared_ptr<QueryTrace> trace);
 
   /// EXPLAIN [ANALYZE] <sql>: compiles the statement, runs the safety
   /// check (the lifted compiler either produces a polynomial extensional
@@ -192,20 +196,21 @@ class Session {
   /// shutdown: drain first, cancel whatever is left.
   void CancelInFlight();
 
-  /// Top-level queries currently executing (the `pdb_requests_in_flight`
+  /// Top-level calls currently running (the `pdb_requests_in_flight`
   /// gauge).
   int64_t requests_in_flight() const;
 
   /// Counts one server-side admission drop (a request shed with 429 before
-  /// any engine work ran) into this session's cumulative report and the
-  /// `pdb_admission_rejected_total` / `pdb_shed_total` tickers, under the
-  /// same lock as every other fold so ticker == CumulativeReport holds.
+  /// any engine work ran) into the `pdb_admission_rejected_total` and
+  /// `pdb_shed_total` tickers, and so into `CumulativeReport()`.
   void NoteAdmissionRejected();
 
   size_t cache_size() const;
-  /// Top-level queries answered by this session (cache hits included).
+  /// Top-level queries answered by this session, failures and cache hits
+  /// included (`pdb_queries_total`).
   uint64_t queries_served() const;
-  /// Top-level queries answered from the result cache.
+  /// Boolean queries answered from the result cache, per-tuple fan-out
+  /// sub-queries included (`pdb_result_cache_hits_total`).
   uint64_t result_cache_hits() const;
 
   /// The session's cross-query WMC cache, or null when
@@ -222,7 +227,8 @@ class Session {
 
   /// Aggregate of every per-query report (tasks, samples, DPLL cache hits,
   /// shared WMC cache hits, whether any query was cancelled or overran a
-  /// deadline), plus the shared cache's insert/eviction/size counters.
+  /// deadline), read from the registry's tickers, plus the shared cache's
+  /// insert/eviction/size counters.
   ExecReport CumulativeReport() const;
 
   /// The session's metrics registry. Engine tickers (pdb_queries_total,
@@ -238,71 +244,53 @@ class Session {
   /// JSON rendering of `SnapshotMetrics()`.
   std::string MetricsJson() const;
 
-  /// The most recent finished traces (newest first), at most
-  /// `SessionOptions::trace_ring_size` of them.
+  /// The most recent traces (newest first), at most
+  /// `SessionOptions::trace_ring_size` of them. A caller's trace may still
+  /// be open when it appears here.
   std::vector<std::shared_ptr<const QueryTrace>> recent_traces() const;
 
  private:
-  /// Shared pipeline behind Query/QueryFo and the per-tuple fan-out.
-  /// `top_level` controls accounting: fan-out sub-queries aggregate into
-  /// the cumulative report but do not count as served queries (and do not
-  /// finish or retain `trace` — they only add spans to it).
-  /// `finish_trace` is false for the *Traced entry points, whose caller
-  /// finishes the trace after its own trailing spans. `profile` (EXPLAIN
+  friend class LiveContext;
+
+  /// The one accounting step of every top-level call. Resolves the trace
+  /// (the caller's, else a fresh one when `options.trace` asks), runs
+  /// `body` with it, then counts the call whatever its outcome: one
+  /// `pdb_queries_total`, one latency sample (plus one SQL statement
+  /// latency sample when `sql`), one `pdb_query_errors_total` on failure
+  /// or one per-method ticker on a Boolean answer. The trace enters the
+  /// ring, finished only when the session created it.
+  template <typename T, typename Body>
+  Result<T> TopLevel(const QueryOptions& options,
+                     std::shared_ptr<QueryTrace> trace, bool sql, Body body);
+
+  /// Evaluates a Boolean sentence through the result cache and the engine,
+  /// recording into `trace`. Behind every Boolean statement and each
+  /// per-tuple sub-query of the answer fan-out. `profile` (EXPLAIN
   /// ANALYZE) rides on the execution context like the trace does, and
   /// `bypass_cache` forces execution past the result cache.
   Result<QueryAnswer> QueryFoInternal(const FoPtr& sentence,
                                       const QueryOptions& options,
-                                      bool top_level,
-                                      std::shared_ptr<QueryTrace> trace,
-                                      bool finish_trace = true,
+                                      QueryTrace* trace,
                                       JoinProfile* profile = nullptr,
                                       bool bypass_cache = false);
 
-  /// Query against a caller-provided trace (parse span + QueryFoInternal).
-  Result<QueryAnswer> QueryInternal(const std::string& query_text,
-                                    const QueryOptions& options,
-                                    std::shared_ptr<QueryTrace> trace,
-                                    bool finish_trace);
-
-  /// QuerySql* against a caller-provided trace (compile span + dispatch).
-  Result<QueryAnswer> QuerySqlBooleanInternal(const std::string& sql,
-                                              const QueryOptions& options,
-                                              std::shared_ptr<QueryTrace> trace,
-                                              bool finish_trace);
-  Result<Relation> QuerySqlAnswersInternal(const std::string& sql,
-                                           const QueryOptions& options,
-                                           std::vector<AnswerTupleInfo>* info,
-                                           std::shared_ptr<QueryTrace> trace,
-                                           bool finish_trace);
-
-  /// QueryWithAnswers against a caller-provided trace (the SQL wrapper
-  /// passes the trace holding its compile span). `report_out`, when
-  /// non-null, receives the batch context's counters (EXPLAIN ANALYZE).
-  Result<Relation> QueryWithAnswersTraced(
+  /// The answer-tuple pipeline behind QueryWithAnswers and QuerySqlAnswers:
+  /// candidate sweep, then one Boolean sub-query per candidate on the
+  /// session pool. `report_out`, when non-null, receives the batch
+  /// context's counters (EXPLAIN ANALYZE).
+  Result<Relation> QueryWithAnswersInternal(
       const ConjunctiveQuery& cq, const std::vector<std::string>& head_vars,
       const QueryOptions& options, std::vector<AnswerTupleInfo>* info,
-      std::shared_ptr<QueryTrace> trace, bool finish_trace = true,
-      JoinProfile* profile = nullptr, ExecReport* report_out = nullptr);
-
-  /// A fresh trace when `options.trace` asks for one, else null.
-  std::shared_ptr<QueryTrace> MakeTrace(const QueryOptions& options) const {
-    return options.trace ? std::make_shared<QueryTrace>() : nullptr;
-  }
-
-  /// Pushes `trace` into the ring buffer, finishing it first unless the
-  /// caller keeps recording (the *Traced entry points add transport spans
-  /// after the engine returns). No-op on null.
-  void RetainTrace(const std::shared_ptr<QueryTrace>& trace,
-                   bool finish = true);
+      QueryTrace* trace, JoinProfile* profile = nullptr,
+      ExecReport* report_out = nullptr);
 
   /// Cache key: the options that can change an exact answer, then the
   /// sentence text.
   static std::string CacheKey(const FoPtr& sentence,
                               const QueryOptions& options);
 
-  /// Folds one per-query report into the cumulative aggregate. Caller must
-  /// hold `mu_`.
+  /// Folds one execution's report into the tickers. Caller must hold `mu_`,
+  /// so that `CumulativeReport()` reads whole folds.
   void AggregateLocked(const ExecReport& report);
 
   /// Drops stale caches if the database generation moved past the snapshot
@@ -323,10 +311,13 @@ class Session {
 
   /// Registry tickers resolved once at construction (stable pointers, so
   /// the per-query fold is a handful of relaxed atomic adds, no map
-  /// lookups). Counters mirror `cumulative_` field for field; the
-  /// wmc_shared_* overlay counters and the level gauges are refreshed from
-  /// their sources of truth by `SnapshotMetrics()`.
+  /// lookups). The registry is the one copy of the session's totals:
+  /// `CumulativeReport()` and the accessors read it. The wmc_shared_*
+  /// overlay counters and the level gauges are refreshed from their
+  /// sources of truth by `SnapshotMetrics()`.
   struct Tickers {
+    /// One per `kExecCounters` row (exec/context.h), in table order.
+    std::array<Counter*, kNumExecCounters> exec;
     Counter* queries;
     Counter* query_errors;
     Counter* result_cache_hits;
@@ -338,26 +329,11 @@ class Session {
     Counter* queries_plan_bounds;
     Counter* deadline_exceeded;
     Counter* queries_cancelled;
-    Counter* exec_tasks;
-    Counter* mc_samples;
-    Counter* mc_batches;
-    Counter* dpll_decisions;
-    Counter* dpll_cache_hits;
-    Counter* dpll_component_splits;
-    Counter* wmc_shared_hits;
-    Counter* wmc_shared_misses;
     Counter* wmc_shared_inserts;    // overlay: Set() from WmcCacheStats
     Counter* wmc_shared_evictions;  // overlay: Set() from WmcCacheStats
-    Counter* lineage_matches;
-    Counter* lineage_nodes;
-    Counter* index_builds;
-    Counter* index_cache_hits;
-    /// All load shed: inline-degraded pool tasks + admission drops
-    /// (invariant: == cumulative shed_tasks + admission_rejected).
-    Counter* shed;
     Counter* admission_rejected;
     Gauge* sessions_active;      ///< 1 while this session lives
-    Gauge* requests_in_flight;   ///< top-level queries currently executing
+    Gauge* requests_in_flight;   ///< top-level calls currently running
     Gauge* wmc_shared_bytes;
     Gauge* wmc_shared_entries;
     Gauge* result_cache_entries;
@@ -365,12 +341,6 @@ class Session {
     Histogram* query_latency_us;
     Histogram* sql_statement_latency_us;
   };
-
-  /// Counts one answered top-level query into the tickers. Caller must
-  /// hold `mu_` (only for consistency with the queries_served_ bump next
-  /// to it; the tickers themselves are atomic).
-  void TickTopLevelLocked(const Result<QueryAnswer>& answer,
-                          uint64_t latency_us);
 
   const ProbDatabase* db_;
   SessionOptions options_;
@@ -391,19 +361,13 @@ class Session {
   std::unordered_map<std::string, ResultEntry> cache_;  // guarded by mu_
   /// Recency order of cache_ keys, most recent first.   Guarded by mu_.
   std::list<std::string> lru_;
-  uint64_t queries_served_ = 0;                       // guarded by mu_
-  uint64_t result_cache_hits_ = 0;                    // guarded by mu_
-  ExecReport cumulative_;                             // guarded by mu_
-  /// Ring buffer of recent finished traces, newest at the front.
+  /// Ring buffer of recent traces, newest at the front.
   std::deque<std::shared_ptr<const QueryTrace>> traces_;  // guarded by mu_
   /// Execution contexts of in-flight queries (top-level and fan-out
   /// children), registered for CancelInFlight(). Guarded by mu_; each
   /// context outlives its registration (stack-held by the query until it
   /// unregisters).
   std::unordered_set<ExecContext*> live_contexts_;  // guarded by mu_
-  int64_t top_level_in_flight_ = 0;                 // guarded by mu_
-
-  friend class InFlightGuard;
 };
 
 }  // namespace pdb

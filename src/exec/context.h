@@ -8,12 +8,20 @@
 /// query answer. Hot loops (DPLL decisions, sample draws) poll
 /// `ShouldStop()` every few dozen iterations; the deadline latch makes the
 /// common no-deadline path a single relaxed atomic load.
+///
+/// Each progress counter is defined once, as a row of `kExecCounters`: its
+/// `ExecReport` field, the session ticker it folds into, and its
+/// `ExecReport::ToString` label. `ExecContext::Report`, `ToString` and the
+/// session's tickers all loop over that table, so adding a counter takes
+/// one `ExecCounter` entry, one row and one `ExecReport` field.
 
 #ifndef PDB_EXEC_CONTEXT_H_
 #define PDB_EXEC_CONTEXT_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -68,9 +76,77 @@ struct ExecReport {
   bool cancelled = false;       ///< Cancel() was called
   bool deadline_exceeded = false;  ///< a deadline expired at some point
 
-  /// e.g. "4 threads, 131072 samples, 12 tasks, deadline exceeded".
+  /// e.g. "4 threads, 12 tasks, 131072 samples, deadline exceeded": the
+  /// nonzero counters, in `kExecCounters` order.
   std::string ToString() const;
 };
+
+/// The engine's progress counters, one per row of `kExecCounters`.
+enum class ExecCounter : size_t {
+  kTasksRun,
+  kSamplesDrawn,
+  kMcBatches,
+  kCacheHits,
+  kDpllDecisions,
+  kDpllComponentSplits,
+  kWmcSharedHits,
+  kWmcSharedMisses,
+  kLineageMatches,
+  kLineageNodes,
+  kIndexBuilds,
+  kIndexCacheHits,
+  kShedTasks,
+};
+inline constexpr size_t kNumExecCounters = 13;
+
+/// What one `ExecCounter` is outside the context.
+struct ExecCounterInfo {
+  ExecCounter counter;
+  uint64_t ExecReport::*field;  ///< where `ExecContext::Report` puts it
+  const char* metric;           ///< the session ticker it folds into
+  const char* label;            ///< "<n> <label>" in `ExecReport::ToString`
+};
+
+/// One row per `ExecCounter`, in enum order. `pdb_shed_total` also counts
+/// server admission drops (Session::NoteAdmissionRejected).
+inline constexpr std::array<ExecCounterInfo, kNumExecCounters> kExecCounters =
+    {{
+        {ExecCounter::kTasksRun, &ExecReport::tasks_run,
+         "pdb_exec_tasks_total", "tasks"},
+        {ExecCounter::kSamplesDrawn, &ExecReport::samples_drawn,
+         "pdb_mc_samples_total", "samples"},
+        {ExecCounter::kMcBatches, &ExecReport::mc_batches,
+         "pdb_mc_batches_total", "MC batches"},
+        {ExecCounter::kCacheHits, &ExecReport::cache_hits,
+         "pdb_dpll_cache_hits_total", "cache hits"},
+        {ExecCounter::kDpllDecisions, &ExecReport::dpll_decisions,
+         "pdb_dpll_decisions_total", "DPLL decisions"},
+        {ExecCounter::kDpllComponentSplits, &ExecReport::dpll_component_splits,
+         "pdb_dpll_component_splits_total", "component splits"},
+        {ExecCounter::kWmcSharedHits, &ExecReport::wmc_shared_hits,
+         "pdb_wmc_shared_hits_total", "shared WMC cache hits"},
+        {ExecCounter::kWmcSharedMisses, &ExecReport::wmc_shared_misses,
+         "pdb_wmc_shared_misses_total", "shared WMC cache misses"},
+        {ExecCounter::kLineageMatches, &ExecReport::lineage_matches,
+         "pdb_lineage_matches_total", "lineage matches"},
+        {ExecCounter::kLineageNodes, &ExecReport::lineage_nodes,
+         "pdb_lineage_nodes_total", "lineage nodes"},
+        {ExecCounter::kIndexBuilds, &ExecReport::index_builds,
+         "pdb_index_builds_total", "index builds"},
+        {ExecCounter::kIndexCacheHits, &ExecReport::index_cache_hits,
+         "pdb_index_cache_hits_total", "index cache hits"},
+        {ExecCounter::kShedTasks, &ExecReport::shed_tasks, "pdb_shed_total",
+         "shed tasks"},
+    }};
+
+static_assert(
+    [] {
+      for (size_t i = 0; i < kExecCounters.size(); ++i) {
+        if (static_cast<size_t>(kExecCounters[i].counter) != i) return false;
+      }
+      return true;
+    }(),
+    "kExecCounters rows must follow ExecCounter order");
 
 /// Shared, thread-safe state of one query execution.
 class ExecContext {
@@ -131,45 +207,11 @@ class ExecContext {
   /// Cooperative stop check: cancelled or past the deadline.
   bool ShouldStop() { return cancelled() || DeadlineExceeded(); }
 
-  // Progress counters (relaxed; workers add in bulk per shard).
-  void AddTasksRun(uint64_t n) {
-    tasks_run_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddSamples(uint64_t n) {
-    samples_drawn_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddMcBatches(uint64_t n) {
-    mc_batches_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddCacheHits(uint64_t n) {
-    cache_hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddDpllDecisions(uint64_t n) {
-    dpll_decisions_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddDpllComponentSplits(uint64_t n) {
-    dpll_component_splits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddWmcSharedHits(uint64_t n) {
-    wmc_shared_hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddWmcSharedMisses(uint64_t n) {
-    wmc_shared_misses_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddLineageMatches(uint64_t n) {
-    lineage_matches_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddLineageNodes(uint64_t n) {
-    lineage_nodes_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddIndexBuilds(uint64_t n) {
-    index_builds_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddIndexCacheHits(uint64_t n) {
-    index_cache_hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddShedTasks(uint64_t n) {
-    shed_tasks_.fetch_add(n, std::memory_order_relaxed);
+  /// Adds `n` to one progress counter (relaxed; workers add in bulk per
+  /// shard).
+  void Add(ExecCounter counter, uint64_t n) {
+    counters_[static_cast<size_t>(counter)].fetch_add(
+        n, std::memory_order_relaxed);
   }
 
   ExecReport Report();
@@ -184,19 +226,7 @@ class ExecContext {
   std::atomic<bool> deadline_hit_{false};       // current armed deadline
   std::atomic<bool> deadline_ever_hit_{false};  // sticky, for the report
   std::atomic<int64_t> deadline_ns_{0};  // Clock epoch ns; 0 = disarmed
-  std::atomic<uint64_t> tasks_run_{0};
-  std::atomic<uint64_t> samples_drawn_{0};
-  std::atomic<uint64_t> mc_batches_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> dpll_decisions_{0};
-  std::atomic<uint64_t> dpll_component_splits_{0};
-  std::atomic<uint64_t> wmc_shared_hits_{0};
-  std::atomic<uint64_t> wmc_shared_misses_{0};
-  std::atomic<uint64_t> lineage_matches_{0};
-  std::atomic<uint64_t> lineage_nodes_{0};
-  std::atomic<uint64_t> index_builds_{0};
-  std::atomic<uint64_t> index_cache_hits_{0};
-  std::atomic<uint64_t> shed_tasks_{0};
+  std::array<std::atomic<uint64_t>, kNumExecCounters> counters_{};
 };
 
 }  // namespace pdb

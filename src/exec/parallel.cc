@@ -48,7 +48,7 @@ void ParallelFor(ExecContext* ctx, size_t n,
   ThreadPool* pool = ctx ? ctx->pool() : nullptr;
   if (pool == nullptr || pool->num_threads() == 0 || n == 1) {
     for (size_t i = 0; i < n; ++i) body(i);
-    if (ctx) ctx->AddTasksRun(n);
+    if (ctx) ctx->Add(ExecCounter::kTasksRun, n);
     return;
   }
 
@@ -69,13 +69,15 @@ void ParallelFor(ExecContext* ctx, size_t n,
   }
   // Helpers the saturated pool refused are load shed onto this thread; the
   // report surfaces them so overload is visible (pdb_shed_total).
-  if (ctx && submitted < helpers) ctx->AddShedTasks(helpers - submitted);
+  if (ctx && submitted < helpers) {
+    ctx->Add(ExecCounter::kShedTasks, helpers - submitted);
+  }
   state->Run(body);
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->done_cv.wait(lock, [&] { return state->completed == n; });
   }
-  if (ctx) ctx->AddTasksRun(n);
+  if (ctx) ctx->Add(ExecCounter::kTasksRun, n);
 }
 
 }  // namespace pdb

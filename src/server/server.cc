@@ -971,7 +971,6 @@ bool PdbServer::HandleQuery(int fd, const HttpRequest& request,
   }
 
   QueryOptions query_options;
-  query_options.trace = options_.trace_queries;
   query_options.exec.num_threads = 1;
   query_options.exec.deadline_ms = deadline_ms;
 
@@ -1012,74 +1011,58 @@ bool PdbServer::HandleQuery(int fd, const HttpRequest& request,
     return sent && request.keep_alive;
   }
 
-  if (LooksLikeSql(request.body)) {
+  const bool sql = LooksLikeSql(request.body);
+  if (sql) {
     Result<SqlSelect> parsed = ParseSql(request.body);
     if (!parsed.ok()) {
       return SendError(fd, 400, parsed.status().message(), request.keep_alive);
     }
-    if (parsed->boolean) {
+    if (!parsed->boolean) {
+      std::vector<AnswerTupleInfo> info;
       DbReadLock db_lock(options_.durable);
-      Result<QueryAnswer> answer =
-          session->QuerySqlBooleanTraced(request.body, query_options, trace);
-      db_lock.Release();
-      if (!answer.ok()) {
+      Result<Relation> answers =
+          session->QuerySqlAnswers(request.body, query_options, &info, trace);
+      db_lock.Release();  // `answers` owns its rows; stream without the lock
+      if (!answers.ok()) {
         if (trace) trace->Finish();
-        return SendError(fd, StatusToHttp(answer.status()),
-                         answer.status().message(), request.keep_alive);
+        return SendError(fd, StatusToHttp(answers.status()),
+                         answers.status().message(), request.keep_alive);
       }
       CountResponse(200);
-      std::string out = head;
-      out += RenderHttpChunk(BooleanAnswerJson(*answer));
-      out += RenderHttpChunk(StrFormat(
-          "{\"done\":true,\"rows\":1,\"elapsed_us\":%llu}\n",
-          static_cast<unsigned long long>(NowMicros() - start_us)));
-      out += kHttpLastChunk;
+      // Stream per tuple: the head goes out first, then each answer row as
+      // its own chunk, so a consumer sees rows as they serialize instead of
+      // one monolithic buffer.
       TraceSpan respond_span(trace.get(), TracePhase::kHttpRespond);
-      bool sent = SendAll(fd, out);
+      if (!SendAll(fd, head)) return false;
+      const Relation& relation = *answers;
+      for (size_t i = 0; i < relation.size(); ++i) {
+        const AnswerTupleInfo* tuple_info =
+            i < info.size() ? &info[i] : nullptr;
+        if (!SendAll(fd, RenderHttpChunk(AnswerTupleJson(
+                             relation.tuple(i), relation.prob(i),
+                             tuple_info)))) {
+          return false;
+        }
+      }
+      std::string tail = RenderHttpChunk(StrFormat(
+          "{\"done\":true,\"rows\":%zu,\"elapsed_us\":%llu}\n",
+          relation.size(),
+          static_cast<unsigned long long>(NowMicros() - start_us)));
+      tail += kHttpLastChunk;
+      bool sent = SendAll(fd, tail);
       respond_span.End();
-      FinishQuery(session, client_id, request.body,
-                  InferenceMethodToString(answer->method), start_us, trace);
+      FinishQuery(session, client_id, request.body, "answers", start_us,
+                  trace);
       return sent && request.keep_alive;
     }
-    std::vector<AnswerTupleInfo> info;
-    DbReadLock db_lock(options_.durable);
-    Result<Relation> answers =
-        session->QuerySqlAnswersTraced(request.body, query_options, &info,
-                                       trace);
-    db_lock.Release();  // `answers` owns its rows; stream without the lock
-    if (!answers.ok()) {
-      if (trace) trace->Finish();
-      return SendError(fd, StatusToHttp(answers.status()),
-                       answers.status().message(), request.keep_alive);
-    }
-    CountResponse(200);
-    // Stream per tuple: the head goes out first, then each answer row as
-    // its own chunk, so a consumer sees rows as they serialize instead of
-    // one monolithic buffer.
-    TraceSpan respond_span(trace.get(), TracePhase::kHttpRespond);
-    if (!SendAll(fd, head)) return false;
-    const Relation& relation = *answers;
-    for (size_t i = 0; i < relation.size(); ++i) {
-      const AnswerTupleInfo* tuple_info = i < info.size() ? &info[i] : nullptr;
-      if (!SendAll(fd, RenderHttpChunk(AnswerTupleJson(
-                           relation.tuple(i), relation.prob(i), tuple_info)))) {
-        return false;
-      }
-    }
-    std::string tail = RenderHttpChunk(StrFormat(
-        "{\"done\":true,\"rows\":%zu,\"elapsed_us\":%llu}\n", relation.size(),
-        static_cast<unsigned long long>(NowMicros() - start_us)));
-    tail += kHttpLastChunk;
-    bool sent = SendAll(fd, tail);
-    respond_span.End();
-    FinishQuery(session, client_id, request.body, "answers", start_us, trace);
-    return sent && request.keep_alive;
   }
 
-  // Not SQL: Boolean FO sentence / datalog-style UCQ shorthand.
+  // Boolean: SELECT PROB() SQL, an FO sentence or datalog-style UCQ
+  // shorthand.
   DbReadLock db_lock(options_.durable);
   Result<QueryAnswer> answer =
-      session->QueryTraced(request.body, query_options, trace);
+      sql ? session->QuerySqlBoolean(request.body, query_options, trace)
+          : session->Query(request.body, query_options, trace);
   db_lock.Release();
   if (!answer.ok()) {
     if (trace) trace->Finish();

@@ -74,11 +74,12 @@ Result<double> DpllCounter::Compute(NodeId root) {
   }
   auto entry = Count(root);
   if (options_.exec) {
-    options_.exec->AddCacheHits(stats_.cache_hits);
-    options_.exec->AddDpllDecisions(stats_.decisions);
-    options_.exec->AddDpllComponentSplits(stats_.component_splits);
-    options_.exec->AddWmcSharedHits(stats_.shared_hits);
-    options_.exec->AddWmcSharedMisses(stats_.shared_misses);
+    options_.exec->Add(ExecCounter::kCacheHits, stats_.cache_hits);
+    options_.exec->Add(ExecCounter::kDpllDecisions, stats_.decisions);
+    options_.exec->Add(ExecCounter::kDpllComponentSplits,
+                       stats_.component_splits);
+    options_.exec->Add(ExecCounter::kWmcSharedHits, stats_.shared_hits);
+    options_.exec->Add(ExecCounter::kWmcSharedMisses, stats_.shared_misses);
   }
   if (!entry.ok()) return entry.status();
   root_trace_ = entry->trace;

@@ -67,8 +67,8 @@ Estimate NaiveMonteCarlo(FormulaManager* mgr, NodeId root,
     drawn += part.drawn;
   }
   if (ctx) {
-    ctx->AddSamples(drawn);
-    ctx->AddMcBatches(1);
+    ctx->Add(ExecCounter::kSamplesDrawn, drawn);
+    ctx->Add(ExecCounter::kMcBatches, 1);
   }
 
   Estimate est;
@@ -219,8 +219,8 @@ Result<Estimate> KarpLubyDnf(const std::vector<std::vector<VarId>>& terms,
   Rng base(rng->Next());
   KlAccum accum = KarpLubyBatch(terms, probs, setup, samples, base, ctx);
   if (ctx) {
-    ctx->AddSamples(accum.drawn);
-    ctx->AddMcBatches(1);
+    ctx->Add(ExecCounter::kSamplesDrawn, accum.drawn);
+    ctx->Add(ExecCounter::kMcBatches, 1);
   }
   return EstimateFromAccum(accum);
 }
@@ -266,8 +266,8 @@ Result<Estimate> KarpLubyDnfAdaptive(
     }
   }
   if (ctx) {
-    ctx->AddSamples(accum.drawn);
-    ctx->AddMcBatches(batches);
+    ctx->Add(ExecCounter::kSamplesDrawn, accum.drawn);
+    ctx->Add(ExecCounter::kMcBatches, batches);
   }
   return EstimateFromAccum(accum);
 }

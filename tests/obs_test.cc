@@ -608,6 +608,66 @@ TEST(TraceTest, RingBufferKeepsNewestFirstAndEvicts) {
   for (const auto& t : traces) EXPECT_GT(t->total_ns(), 0u);
 }
 
+TEST(TraceTest, CallerTraceIsRetainedUnfinishedWithEngineSpans) {
+  ProbDatabase pdb(HardSqlDatabase(3));
+  Session session(&pdb, {.num_threads = 1});
+  // `options.trace` is on too: a caller's trace takes precedence over it.
+  QueryOptions traced;
+  traced.trace = true;
+  // The caller's trace lands in the ring holding the engine's spans, and
+  // stays open: a span the caller records after the call is part of it.
+  auto check = [&](const std::shared_ptr<QueryTrace>& trace, TracePhase front,
+                   TracePhase engine) {
+    auto ring = session.recent_traces();
+    ASSERT_FALSE(ring.empty());
+    EXPECT_EQ(ring.front().get(), trace.get());
+    EXPECT_GT(trace->PhaseNs(front), 0u);
+    EXPECT_GT(trace->PhaseNs(TracePhase::kCacheProbe), 0u);
+    EXPECT_GT(trace->PhaseNs(engine), 0u);
+    const uint64_t tail_start = trace->NowNs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const uint64_t tail_ns = trace->NowNs() - tail_start;
+    trace->RecordSpan(TracePhase::kHttpRespond, tail_start, tail_ns);
+    trace->Finish();
+    EXPECT_GE(trace->total_ns(), tail_start + tail_ns);
+    EXPECT_GE(trace->TopLevelNs(), tail_ns);
+    EXPECT_LE(trace->TopLevelNs(), trace->total_ns());
+  };
+
+  auto fo_trace = std::make_shared<QueryTrace>();
+  auto fo = session.Query(kUnsafeQuery, traced, fo_trace);
+  ASSERT_TRUE(fo.ok()) << fo.status().ToString();
+  EXPECT_EQ(fo->trace.get(), fo_trace.get());
+  check(fo_trace, TracePhase::kParse, TracePhase::kDpll);
+
+  auto sql_trace = std::make_shared<QueryTrace>();
+  auto sql = session.QuerySqlBoolean(
+      "SELECT PROB() FROM R, S WHERE R.x = S.x", traced, sql_trace);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_EQ(sql->trace.get(), sql_trace.get());
+  check(sql_trace, TracePhase::kCompile, TracePhase::kLifted);
+
+  auto answers_trace = std::make_shared<QueryTrace>();
+  auto answers = session.QuerySqlAnswers(
+      "SELECT S.y FROM S, T WHERE S.y = T.y", traced, nullptr, answers_trace);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  check(answers_trace, TracePhase::kCompile, TracePhase::kLifted);
+
+  // Without a caller trace, `options.trace` makes the session record a
+  // trace of its own and finish it before returning.
+  for (bool sql_text : {false, true}) {
+    auto own = sql_text ? session.QuerySqlBoolean(
+                              "SELECT PROB() FROM S, T WHERE S.y = T.y", traced)
+                        : session.Query("S(x,y)", traced);
+    ASSERT_TRUE(own.ok()) << own.status().ToString();
+    ASSERT_NE(own->trace, nullptr);
+    EXPECT_EQ(session.recent_traces().front(), own->trace);
+    const uint64_t total = own->trace->total_ns();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(own->trace->total_ns(), total);
+  }
+}
+
 TEST(TraceTest, TopLevelSpansCoverEndToEndWithinTenPercent) {
   // Acceptance: on a grounded (DPLL-dominated) query, the sum of
   // non-nested span durations accounts for >= 90% of the end-to-end
@@ -891,6 +951,115 @@ TEST(SessionMetricsTest, TickersMatchCumulativeReportAfterMixedWorkload) {
   EXPECT_FALSE(session.Query("R(x").ok());
   EXPECT_EQ(session.SnapshotMetrics().counters.at("pdb_query_errors_total"),
             1u);
+}
+
+TEST(SessionMetricsTest, FreshSessionExportsEveryTicker) {
+  // The golden file renders a hand-built registry; this pins the names a
+  // live session registers, so a renamed or dropped ticker fails here.
+  ProbDatabase pdb(HardDatabase(2));
+  Session session(&pdb, {.num_threads = 1});
+  MetricsSnapshot snap = session.SnapshotMetrics();
+  auto names = [](const auto& metrics) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : metrics) out.push_back(name);
+    return out;
+  };
+  EXPECT_EQ(names(snap.counters),
+            (std::vector<std::string>{
+                "pdb_admission_rejected_total",
+                "pdb_deadline_exceeded_total",
+                "pdb_dpll_cache_hits_total",
+                "pdb_dpll_component_splits_total",
+                "pdb_dpll_decisions_total",
+                "pdb_exec_tasks_total",
+                "pdb_index_builds_total",
+                "pdb_index_cache_hits_total",
+                "pdb_lineage_matches_total",
+                "pdb_lineage_nodes_total",
+                "pdb_mc_batches_total",
+                "pdb_mc_samples_total",
+                "pdb_queries_cancelled_total",
+                "pdb_queries_grounded_exact_total",
+                "pdb_queries_lifted_total",
+                "pdb_queries_monte_carlo_total",
+                "pdb_queries_plan_bounds_total",
+                "pdb_queries_total",
+                "pdb_query_errors_total",
+                "pdb_result_cache_evictions_total",
+                "pdb_result_cache_hits_total",
+                "pdb_result_cache_misses_total",
+                "pdb_shed_total",
+                "pdb_wmc_shared_evictions_total",
+                "pdb_wmc_shared_hits_total",
+                "pdb_wmc_shared_inserts_total",
+                "pdb_wmc_shared_misses_total",
+            }));
+  EXPECT_EQ(names(snap.gauges),
+            (std::vector<std::string>{
+                "pdb_index_cache_entries",
+                "pdb_requests_in_flight",
+                "pdb_result_cache_entries",
+                "pdb_sessions_active",
+                "pdb_wmc_shared_bytes",
+                "pdb_wmc_shared_entries",
+            }));
+  EXPECT_EQ(names(snap.histograms),
+            (std::vector<std::string>{
+                "pdb_query_latency_us",
+                "pdb_sql_statement_latency_us",
+            }));
+}
+
+TEST(SessionMetricsTest, FailedQueryWithAnswersCountsLikeEveryFailure) {
+  ProbDatabase pdb(HardDatabase(3));
+  Session session(&pdb, {.num_threads = 1});
+  QueryOptions traced;
+  traced.trace = true;
+  struct Counts {
+    uint64_t queries, errors, served, latency_samples;
+    size_t traces;
+  };
+  auto counts = [&] {
+    MetricsSnapshot snap = session.SnapshotMetrics();
+    return Counts{snap.counters.at("pdb_queries_total"),
+                  snap.counters.at("pdb_query_errors_total"),
+                  session.queries_served(),
+                  snap.histograms.at("pdb_query_latency_us").count,
+                  session.recent_traces().size()};
+  };
+  auto expect_one_more_failure = [&](const Counts& before) {
+    Counts after = counts();
+    EXPECT_EQ(after.queries, before.queries + 1);
+    EXPECT_EQ(after.errors, before.errors + 1);
+    EXPECT_EQ(after.served, before.served + 1);
+    EXPECT_EQ(after.latency_samples, before.latency_samples + 1);
+    EXPECT_EQ(after.traces, before.traces + 1);
+  };
+
+  // The reference: a statement that dies in the parser.
+  Counts before = counts();
+  EXPECT_FALSE(session.Query("R(x", traced).ok());
+  expect_one_more_failure(before);
+
+  struct Failing {
+    ConjunctiveQuery cq;
+    std::vector<std::string> head_vars;
+  };
+  const Failing failing[] = {
+      // Head variable absent from the query.
+      {ConjunctiveQuery({Atom("R", {Term::Var("x")})}), {"zzz"}},
+      // Relation absent from the database.
+      {ConjunctiveQuery({Atom("Q", {Term::Var("x")})}), {"x"}},
+      // Binary atom over the unary R.
+      {ConjunctiveQuery({Atom("R", {Term::Var("x"), Term::Var("y")})}),
+       {"x"}},
+  };
+  for (const Failing& f : failing) {
+    before = counts();
+    EXPECT_FALSE(session.QueryWithAnswers(f.cq, f.head_vars, traced).ok())
+        << f.cq.ToString();
+    expect_one_more_failure(before);
+  }
 }
 
 TEST(SessionMetricsTest, NoteAdmissionRejectedFoldsIntoReportAndTickers) {
