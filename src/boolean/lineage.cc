@@ -152,12 +152,12 @@ class FoGrounder {
         tuple.push_back(it->second);
       }
     }
-    auto row = rel->Find(tuple);
-    if (!row.ok()) return mgr_->False();  // missing tuple: probability 0
-    double p = rel->prob(*row);
+    // ProbOf first: most ground atoms miss, and a miss through Find would
+    // format a NotFound message only to drop it.
+    double p = rel->ProbOf(tuple);  // missing tuple: probability 0
     if (p == 1.0) return mgr_->True();
     if (p == 0.0) return mgr_->False();
-    return mgr_->Var(vars_->VarFor(atom.predicate, *row, p));
+    return mgr_->Var(vars_->VarFor(atom.predicate, *rel->Find(tuple), p));
   }
 
   const Database& db_;

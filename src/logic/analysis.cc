@@ -360,9 +360,11 @@ Result<UnateRewrite> RewriteUnateForUcq(const FoPtr& sentence,
   PDB_ASSIGN_OR_RETURN(rewrite.ucq, FoToUcq(positive));
 
   // Extend the database with complement relations for every complemented
-  // symbol that the UCQ actually uses.
+  // symbol that the UCQ actually uses. The copy shares db's relations
+  // (copy-on-write), and the active domain scan runs only when a
+  // complement is materialized.
   rewrite.database = db;
-  std::vector<Value> domain = db.ActiveDomain();
+  std::optional<std::vector<Value>> domain;
   for (const std::string& pred : rewrite.ucq.Predicates()) {
     if (rewrite.database.HasRelation(pred)) continue;
     // pred must be a complement symbol R__c of an existing relation R.
@@ -374,9 +376,10 @@ Result<UnateRewrite> RewriteUnateForUcq(const FoPtr& sentence,
     }
     std::string base = pred.substr(0, pred.size() - suffix.size());
     PDB_ASSIGN_OR_RETURN(const Relation* rel, rewrite.database.Get(base));
+    if (!domain.has_value()) domain = db.ActiveDomain();
     PDB_ASSIGN_OR_RETURN(
         Relation complement,
-        ComplementRelation(*rel, domain, max_complement_tuples));
+        ComplementRelation(*rel, *domain, max_complement_tuples));
     PDB_RETURN_NOT_OK(rewrite.database.AddRelation(std::move(complement)));
   }
   return rewrite;

@@ -67,7 +67,9 @@ bool IsUniversalSentence(const FoPtr& f);
 struct UnateRewrite {
   /// The UCQ to evaluate on `database`.
   Ucq ucq;
-  /// Database extended with complement relations for negated symbols.
+  /// The input database plus complement relations for negated symbols. It
+  /// is a copy-on-write copy: the input's relations are shared, not
+  /// copied, and only the complements are new.
   Database database;
   /// True when the original sentence was universal: the caller must report
   /// 1 - P(ucq).

@@ -13,7 +13,8 @@ Status Database::AddRelation(Relation relation) {
         StrFormat("relation '%s' already exists", relation.name().c_str()));
   }
   std::string name = relation.name();
-  relations_.emplace(std::move(name), std::move(relation));
+  relations_.emplace(std::move(name),
+                     std::make_shared<Relation>(std::move(relation)));
   return Status::OK();
 }
 
@@ -30,7 +31,7 @@ Result<const Relation*> Database::Get(const std::string& name) const {
   if (it == relations_.end()) {
     return Status::NotFound(StrFormat("no relation named '%s'", name.c_str()));
   }
-  return &it->second;
+  return it->second.get();
 }
 
 Result<Relation*> Database::GetMutable(const std::string& name) {
@@ -38,7 +39,11 @@ Result<Relation*> Database::GetMutable(const std::string& name) {
   if (it == relations_.end()) {
     return Status::NotFound(StrFormat("no relation named '%s'", name.c_str()));
   }
-  return &it->second;
+  std::shared_ptr<Relation>& rel = it->second;
+  // Only Databases hold these pointers, and the caller has this one to
+  // itself, so a count of 1 means no other copy can observe the mutation.
+  if (rel.use_count() > 1) rel = std::make_shared<Relation>(*rel);
+  return rel.get();
 }
 
 std::vector<std::string> Database::RelationNames() const {
@@ -51,7 +56,7 @@ std::vector<std::string> Database::RelationNames() const {
 std::vector<Value> Database::ActiveDomain() const {
   std::set<Value> domain;
   for (const auto& [name, rel] : relations_) {
-    for (const Tuple& t : rel.tuples()) {
+    for (const Tuple& t : rel->tuples()) {
       for (const Value& v : t) domain.insert(v);
     }
   }
@@ -60,18 +65,18 @@ std::vector<Value> Database::ActiveDomain() const {
 
 size_t Database::TupleCount() const {
   size_t count = 0;
-  for (const auto& [name, rel] : relations_) count += rel.size();
+  for (const auto& [name, rel] : relations_) count += rel->size();
   return count;
 }
 
 Database Database::SampleWorld(Rng* rng) const {
   Database world;
   for (const auto& [name, rel] : relations_) {
-    Relation sampled(rel.name(), rel.schema());
-    for (size_t i = 0; i < rel.size(); ++i) {
-      if (rng->Bernoulli(rel.prob(i))) {
+    Relation sampled(rel->name(), rel->schema());
+    for (size_t i = 0; i < rel->size(); ++i) {
+      if (rng->Bernoulli(rel->prob(i))) {
         // Tuples come from a valid relation, so re-adding cannot fail.
-        PDB_CHECK(sampled.AddTuple(rel.tuple(i), 1.0).ok());
+        PDB_CHECK(sampled.AddTuple(rel->tuple(i), 1.0).ok());
       }
     }
     PDB_CHECK(world.AddRelation(std::move(sampled)).ok());
@@ -82,7 +87,7 @@ Database Database::SampleWorld(Rng* rng) const {
 std::string Database::ToString() const {
   std::string out;
   for (const auto& [name, rel] : relations_) {
-    out += rel.ToString();
+    out += rel->ToString();
     out += "\n";
   }
   return out;

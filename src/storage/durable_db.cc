@@ -460,7 +460,12 @@ Status DurableDatabase::ReplaySegment(const std::string& name, bool* stop) {
     }
     bool applied = true;
     for (WriteBatch::Op& op : ops) {
-      if (!ApplyOpLocked(std::move(op)).ok()) {
+      // The decoded ops die with this record: move an added relation into
+      // the catalog rather than copying it.
+      Status status = op.code == kWalOpAddRelation
+                          ? pdb_.AddRelation(std::move(op.relation))
+                          : ApplyOpLocked(op);
+      if (!status.ok()) {
         applied = false;  // unreachable post-validation; defensive
         break;
       }
@@ -560,13 +565,11 @@ Status DurableDatabase::ValidateOpLocked(const WriteBatch::Op& op,
   }
 }
 
-Status DurableDatabase::ApplyOpLocked(WriteBatch::Op op) {
-  if (op.code == kWalOpAddRelation) {
-    return pdb_.AddRelation(std::move(op.relation));
-  }
+Status DurableDatabase::ApplyOpLocked(const WriteBatch::Op& op) {
+  if (op.code == kWalOpAddRelation) return pdb_.AddRelation(op.relation);
   auto rel = pdb_.database().GetMutable(op.target);
   if (!rel.ok()) return rel.status();
-  Status status = (*rel)->AddTuple(std::move(op.tuple), op.p);
+  Status status = (*rel)->AddTuple(op.tuple, op.p);
   if (status.ok()) pdb_.BumpGeneration();
   return status;
 }

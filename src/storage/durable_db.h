@@ -290,8 +290,10 @@ class DurableDatabase {
   /// ops of the same group/batch), recording its effects into `pending`
   /// on success. Caller holds mu_.
   Status ValidateOpLocked(const WriteBatch::Op& op, PendingState* pending);
-  /// Applies one validated op. Caller holds mu_.
-  Status ApplyOpLocked(WriteBatch::Op op);
+  /// Applies one validated op, copying its tuple or relation into the
+  /// catalog: the commit path leaves the caller's batch intact. Caller
+  /// holds mu_.
+  Status ApplyOpLocked(const WriteBatch::Op& op);
 
   /// Serializes the catalog + rolls the WAL under mu_ (the brief fence).
   Status PrepareCheckpointLocked(CheckpointFence* fence);

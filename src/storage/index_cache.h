@@ -19,10 +19,15 @@
 ///
 /// Lifecycle: the cache is owned by `Session`, invalidated with the same
 /// generation discipline as the result and WMC caches (a database mutation
-/// clears it), and relations are keyed by address — `Database` stores
-/// relations in a node-based map, so a `Relation*` is stable until the
-/// relation is destroyed, and a destroyed database's entries are
-/// unreachable garbage that the next `Clear()` drops.
+/// clears it), and relations are keyed by address. A relation is a heap
+/// object shared by the copies of its copy-on-write `Database`, so its
+/// address is stable until it is destroyed, and every copy sees the same
+/// address. A mutation through `GetMutable` may clone a shared relation:
+/// the clone gets a new address, and the old entries become unreachable
+/// garbage that the same mutation's `Clear()` drops. A freed relation's
+/// address can be reused by the next allocation, so per-query relations,
+/// such as the unate rewrite's complements, must never be cached by
+/// address: only relations of the session's own database are.
 
 #ifndef PDB_STORAGE_INDEX_CACHE_H_
 #define PDB_STORAGE_INDEX_CACHE_H_

@@ -1,6 +1,7 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "storage/columnar.h"
@@ -8,12 +9,22 @@
 
 namespace pdb {
 
+namespace {
+// Relaxed: a statistic read by tests, never used to order memory.
+std::atomic<uint64_t> g_relation_copies{0};
+}  // namespace
+
+uint64_t Relation::CopyCount() {
+  return g_relation_copies.load(std::memory_order_relaxed);
+}
+
 Relation::Relation(const Relation& other)
     : name_(other.name_),
       schema_(other.schema_),
       tuples_(other.tuples_),
       probs_(other.probs_),
       index_(other.index_) {
+  g_relation_copies.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(other.columnar_mu_);
   columnar_ = other.columnar_;
 }
@@ -28,6 +39,7 @@ Relation::Relation(Relation&& other) noexcept
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
+  g_relation_copies.fetch_add(1, std::memory_order_relaxed);
   name_ = other.name_;
   schema_ = other.schema_;
   tuples_ = other.tuples_;
@@ -89,8 +101,8 @@ Result<size_t> Relation::Find(const Tuple& tuple) const {
 }
 
 double Relation::ProbOf(const Tuple& tuple) const {
-  auto found = Find(tuple);
-  return found.ok() ? probs_[*found] : 0.0;
+  auto it = index_.find(tuple);
+  return it == index_.end() ? 0.0 : probs_[it->second];
 }
 
 std::vector<Value> Relation::DistinctValues(size_t col) const {

@@ -9,6 +9,7 @@
 #ifndef PDB_STORAGE_RELATION_H_
 #define PDB_STORAGE_RELATION_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,7 +34,8 @@ class Relation {
   // The lazily built columnar sidecar sits behind a mutex, so the
   // compiler-generated special members are unavailable. The copies share
   // the (immutable) sidecar pointer — it is derived purely from the tuple
-  // vector, which is copied along with it.
+  // vector, which is copied along with it. Every copy (construction or
+  // assignment) is a deep copy and counts in `CopyCount()`.
   Relation(const Relation& other);
   Relation(Relation&& other) noexcept;
   Relation& operator=(const Relation& other);
@@ -57,9 +59,10 @@ class Relation {
   /// Overwrites the probability of row `i`.
   void set_prob(size_t i, double p) { probs_[i] = p; }
 
-  /// Row index of `tuple`, or NotFound.
+  /// Row index of `tuple`, or NotFound with the tuple in the message.
   Result<size_t> Find(const Tuple& tuple) const;
-  bool Contains(const Tuple& tuple) const { return Find(tuple).ok(); }
+  /// Membership probe; unlike `Find`, a miss formats no message.
+  bool Contains(const Tuple& tuple) const { return index_.count(tuple) > 0; }
 
   /// Marginal probability of `tuple` (0 when absent).
   double ProbOf(const Tuple& tuple) const;
@@ -83,6 +86,11 @@ class Relation {
 
   /// Multi-line human-readable dump (name, schema, rows with probabilities).
   std::string ToString() const;
+
+  /// Deep copies of any `Relation` made by this process so far. A
+  /// copy-on-write `Database` shares relations instead of copying them, so
+  /// tests pin this flat across the query path.
+  static uint64_t CopyCount();
 
  private:
   std::string name_;

@@ -358,6 +358,7 @@ TEST(AnalysisTest, ComplementRelation) {
 TEST(AnalysisTest, RewriteUnateUniversal) {
   Database db = testing::BuildFigure1Database();
   auto q = Parse("forall x forall y (S(x,y) => R(x))");
+  const uint64_t copies_before = Relation::CopyCount();
   auto rewrite = RewriteUnateForUcq(*q, db);
   ASSERT_TRUE(rewrite.ok());
   EXPECT_TRUE(rewrite->complemented);
@@ -365,7 +366,13 @@ TEST(AnalysisTest, RewriteUnateUniversal) {
   // Negation of the constraint: exists x y (S(x,y) & !R(x)).
   EXPECT_EQ(rewrite->ucq.disjuncts()[0].Predicates(),
             (std::set<std::string>{"R__c", "S"}));
+  // The complement goes into the rewrite's database only, and the base
+  // relations are the input's own objects, not copies.
   EXPECT_TRUE(rewrite->database.HasRelation("R__c"));
+  EXPECT_FALSE(db.HasRelation("R__c"));
+  EXPECT_EQ(*rewrite->database.Get("R"), *db.Get("R"));
+  EXPECT_EQ(*rewrite->database.Get("S"), *db.Get("S"));
+  EXPECT_EQ(Relation::CopyCount(), copies_before);
 }
 
 TEST(AnalysisTest, RewriteRejectsMixedAndNonUnate) {

@@ -191,6 +191,7 @@ TEST(PlanBoundsTest2, DissociationCountsOccurrences) {
   ASSERT_TRUE(db.AddRelation(std::move(s)).ok());
   ASSERT_TRUE(db.AddRelation(std::move(t)).ok());
   ConjunctiveQuery cq = CqOf("R(x), S(x,y), T(y)");
+  const uint64_t copies_before = Relation::CopyCount();
   auto dissociated = DissociateForLowerBound(cq, db);
   ASSERT_TRUE(dissociated.ok());
   // R(1) occurs in 2 lineage terms: prob -> 1 - (1-0.5)^(1/2).
@@ -198,6 +199,12 @@ TEST(PlanBoundsTest2, DissociationCountsOccurrences) {
   EXPECT_NEAR((*dissociated->Get("R"))->prob(0), expected, 1e-12);
   // S tuples occur once each: unchanged.
   EXPECT_DOUBLE_EQ((*dissociated->Get("S"))->prob(0), 0.5);
+  // Only R changed, so only R was copied; the input keeps its own R.
+  EXPECT_EQ(Relation::CopyCount(), copies_before + 1);
+  EXPECT_NE(*dissociated->Get("R"), *db.Get("R"));
+  EXPECT_DOUBLE_EQ((*db.Get("R"))->prob(0), 0.5);
+  EXPECT_EQ(*dissociated->Get("S"), *db.Get("S"));
+  EXPECT_EQ(*dissociated->Get("T"), *db.Get("T"));
 }
 
 TEST(PlanBoundsTest2, SafeQueryBoundsAreTight) {

@@ -10,6 +10,9 @@
 
 #include "core/pdb.h"
 #include "core/session.h"
+#include "storage/durable_db.h"
+#include "storage/env.h"
+#include "storage/write_batch.h"
 #include "test_common.h"
 #include "util/random.h"
 
@@ -188,6 +191,66 @@ TEST(SessionTest, ApproximateAnswersAreNotCached) {
   ASSERT_TRUE(answer.ok());
   ASSERT_FALSE(answer->exact);
   EXPECT_EQ(session.cache_size(), 0u);
+}
+
+// The copy-on-write catalog's bar: no query path deep-copies a relation it
+// does not modify. Relation::CopyCount() counts every deep copy in the
+// process.
+TEST(SessionTest, QueriesAndDurableIngestCopyNoRelation) {
+  MemEnv mem;
+  DurableOptions durable_options;
+  durable_options.env = &mem;
+  auto durable = DurableDatabase::Open("/data", durable_options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  const Database hard = HardDatabase(4);
+  for (const std::string& name : hard.RelationNames()) {
+    ASSERT_TRUE((*durable)->AddRelation(**hard.Get(name)).ok());
+  }
+  Session session(&(*durable)->pdb(), {.num_threads = 1});
+  const uint64_t before = Relation::CopyCount();
+
+  auto safe = session.Query(kSafeQuery);
+  ASSERT_TRUE(safe.ok()) << safe.status().ToString();
+  EXPECT_EQ(safe->method, InferenceMethod::kLifted);
+  auto unsafe = session.Query(kUnsafeQuery);
+  ASSERT_TRUE(unsafe.ok()) << unsafe.status().ToString();
+  EXPECT_EQ(unsafe->method, InferenceMethod::kGroundedExact);
+  auto answers =
+      session.QuerySqlAnswers("SELECT R.a0 FROM R, S WHERE R.a0 = S.a0");
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 4u);
+
+  // A durable ingest batch into an existing relation applies in place.
+  const Relation* s_before = *(*durable)->pdb().database().Get("S");
+  WriteBatch batch;
+  batch.Insert("S", {Value(int64_t{1}), Value(int64_t{99})}, 0.5);
+  batch.Insert("S", {Value(int64_t{2}), Value(int64_t{99})}, 0.5);
+  ASSERT_TRUE((*durable)->ApplyBatch(&batch).ok());
+  EXPECT_EQ(*(*durable)->pdb().database().Get("S"), s_before);
+  EXPECT_EQ(s_before->size(), 18u);
+
+  // The mutation invalidated the cached answer: this one is recomputed.
+  auto after = session.Query(kSafeQuery);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(after->probability, safe->probability);
+  EXPECT_EQ(Relation::CopyCount(), before);
+}
+
+TEST(SessionTest, SampledAnswerCopiesOnlyDissociatedRelations) {
+  ProbDatabase pdb(HardDatabase(8));
+  Session session(&pdb, {.num_threads = 1});
+  QueryOptions options;
+  options.max_dpll_decisions = 100;  // force plan bounds and Karp-Luby
+  options.monte_carlo_samples = 5000;
+  const uint64_t before = Relation::CopyCount();
+  auto answer = session.Query(kUnsafeQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->method, InferenceMethod::kMonteCarlo);
+  EXPECT_NE(answer->explanation.find("plan bounds"), std::string::npos);
+  // The lower-bound dissociation changes R and T, whose tuples occur in 8
+  // lineage terms each, and never S, whose tuples occur once: one clone of
+  // R and one of T.
+  EXPECT_EQ(Relation::CopyCount(), before + 2);
 }
 
 TEST(SessionTest, CumulativeReportAggregatesAcrossQueries) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "storage/coding.h"
@@ -93,6 +94,13 @@ TEST(RelationTest, AddAndFind) {
   EXPECT_TRUE(rel.Contains({Value(1), Value(2)}));
   EXPECT_DOUBLE_EQ(rel.ProbOf({Value(1), Value(3)}), 0.25);
   EXPECT_DOUBLE_EQ(rel.ProbOf({Value(9), Value(9)}), 0.0);
+  EXPECT_FALSE(rel.Contains({Value(9), Value(9)}));
+  EXPECT_EQ(*rel.Find({Value(1), Value(3)}), 1u);
+  // Find keeps its message for callers that report it.
+  auto missing = rel.Find({Value(9), Value(9)});
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("not in relation 'R'"),
+            std::string::npos);
 }
 
 TEST(RelationTest, RejectsDuplicates) {
@@ -394,6 +402,84 @@ TEST(DatabaseTest, SampleWorldFrequency) {
     if ((*db.SampleWorld(&rng).Get("R"))->size() == 1) ++present;
   }
   EXPECT_NEAR(static_cast<double>(present) / kTrials, 0.25, 0.02);
+}
+
+TEST(DatabaseTest, CopyOnWriteLeavesOriginalUnchanged) {
+  Database db = testing::BuildFigure1Database();
+  const Relation* original_r = *db.Get("R");
+  const Relation* original_s = *db.Get("S");
+  const uint64_t before = Relation::CopyCount();
+  Database copy = db;  // shares both relations, copies no tuple
+  EXPECT_EQ(Relation::CopyCount(), before);
+  EXPECT_EQ(*copy.Get("R"), original_r);
+  Relation* mutable_r = *copy.GetMutable("R");
+  EXPECT_EQ(Relation::CopyCount(), before + 1);
+  EXPECT_NE(mutable_r, original_r);
+  ASSERT_TRUE(mutable_r->AddTuple({Value("a9")}, 0.4).ok());
+  mutable_r->set_prob(0, 0.99);
+  // A second mutable lookup finds the clone unshared: no further copy.
+  EXPECT_EQ(*copy.GetMutable("R"), mutable_r);
+  EXPECT_EQ(Relation::CopyCount(), before + 1);
+
+  // The original keeps its pointer, tuples and probabilities.
+  EXPECT_EQ(*db.Get("R"), original_r);
+  EXPECT_EQ(original_r->size(), 3u);
+  EXPECT_FALSE(original_r->Contains({Value("a9")}));
+  EXPECT_DOUBLE_EQ(original_r->prob(0), 0.3);
+  // The copy sees its own mutation.
+  EXPECT_EQ(*copy.Get("R"), mutable_r);
+  EXPECT_EQ((*copy.Get("R"))->size(), 4u);
+  EXPECT_DOUBLE_EQ((*copy.Get("R"))->prob(0), 0.99);
+  // The relation the copy did not touch stays shared.
+  EXPECT_EQ(*copy.Get("S"), original_s);
+  EXPECT_EQ(*db.Get("S"), original_s);
+}
+
+TEST(DatabaseTest, GetMutableOnUnsharedRelationMutatesInPlace) {
+  Database db = testing::BuildFigure1Database();
+  const Relation* r = *db.Get("R");
+  { Database dropped = db; }  // shared for a while, then private again
+  const uint64_t before = Relation::CopyCount();
+  Relation* mutable_r = *db.GetMutable("R");
+  EXPECT_EQ(mutable_r, r);
+  ASSERT_TRUE(mutable_r->AddTuple({Value("a9")}, 0.4).ok());
+  EXPECT_EQ(Relation::CopyCount(), before);
+  EXPECT_EQ((*db.Get("R"))->size(), 4u);
+}
+
+TEST(DatabaseTest, ConcurrentCopiesMutatePrivately) {
+  const Database base = testing::BuildFigure1Database();
+  const Relation* base_r = *base.Get("R");
+  const Relation* base_s = *base.Get("S");
+  const uint64_t before = Relation::CopyCount();
+  constexpr int kThreads = 8;
+  std::vector<int> ok(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int round = 0; round < 20; ++round) {
+        Database mine = base;
+        const Relation* r = *mine.Get("R");
+        bool good = r == base_r && r->Contains({Value("a1")}) &&
+                    r->ProbOf({Value("a2")}) == 0.5 &&
+                    mine.TupleCount() == 9u;
+        Relation* mutable_r = *mine.GetMutable("R");
+        good = good && mutable_r != base_r;
+        mutable_r->set_prob(0, 0.01 * i);
+        good = good &&
+               mutable_r->AddTuple({Value("t" + std::to_string(i))}).ok() &&
+               (*mine.Get("R"))->size() == 4u && *mine.Get("S") == base_s;
+        if (good) ++ok[i];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(ok[i], 20) << "thread " << i;
+  // Each round cloned R once; S was never copied.
+  EXPECT_EQ(Relation::CopyCount(), before + kThreads * 20);
+  EXPECT_EQ(*base.Get("R"), base_r);
+  EXPECT_EQ(base_r->size(), 3u);
+  EXPECT_DOUBLE_EQ(base_r->prob(0), 0.3);
 }
 
 // ---------------------------------------------------------------------------
