@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -506,6 +507,116 @@ void BM_WmcSharedCacheFanout(benchmark::State& state) {
       probes == 0 ? 0.0 : static_cast<double>(hits) / probes;
 }
 BENCHMARK(BM_WmcSharedCacheFanout)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------------------
+// M13: safe queries at the cost of their group, not of the database. Group
+// 0 of an R(g,x), S(g,x,y), T(g,y) database holds 40 tuples (R 8, S 24, T
+// 8); more groups of the same shape grow the database to `tuples`. The safe
+// CQ and Q_J on group 0 run through one warm Session with the result cache
+// off, so every iteration runs the lifted rules, whose reads are index
+// probes on the group constant: the per-query time should stay flat as the
+// database grows 100x.
+// ---------------------------------------------------------------------------
+
+/// The grouped database with `tuples` tuples. Only the most recent one is
+/// kept: the benchmark's arguments are registered in size order, so each
+/// size is built once per run.
+const ProbDatabase& GroupedDatabase(size_t tuples) {
+  static size_t built_tuples = 0;
+  static std::unique_ptr<ProbDatabase> built;
+  if (built != nullptr && built_tuples == tuples) return *built;
+  constexpr int64_t kN = 8;  // 8 + 24 + 8 = 40 tuples per group
+  Relation r("R", Schema::Anonymous(2));
+  Relation s("S", Schema::Anonymous(3));
+  Relation t("T", Schema::Anonymous(2));
+  Rng rng(13);
+  auto prob = [&] { return 0.1 + 0.8 * rng.NextDouble(); };
+  for (int64_t g = 0; g < static_cast<int64_t>(tuples / 40); ++g) {
+    for (int64_t x = 0; x < kN; ++x) {
+      PDB_CHECK(r.AddTuple({Value(g), Value(x)}, prob()).ok());
+      PDB_CHECK(t.AddTuple({Value(g), Value(x)}, prob()).ok());
+      for (int64_t k = 0; k < 3; ++k) {
+        PDB_CHECK(
+            s.AddTuple({Value(g), Value(x), Value((x + k) % kN)}, prob())
+                .ok());
+      }
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(r)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
+  PDB_CHECK(db.AddRelation(std::move(t)).ok());
+  built.reset();  // free the previous size before holding the next
+  built = std::make_unique<ProbDatabase>(std::move(db));
+  built_tuples = tuples;
+  return *built;
+}
+
+void BM_SafeQueryGroupScaling(benchmark::State& state) {
+  const ProbDatabase& pdb =
+      GroupedDatabase(static_cast<size_t>(state.range(0)));
+  const std::string query = state.range(1) == 0
+                                ? "R(0,x), S(0,x,y)"
+                                : "R(0,x), S(0,x,y), T(0,u), S(0,u,v)";
+  Session session(&pdb, {.num_threads = 1, .cache_results = false});
+  // Warm-up: builds the columnar images and the session's indexes.
+  PDB_CHECK(session.Query(query).ok());
+  for (auto _ : state) {
+    auto answer = session.Query(query);
+    PDB_CHECK(answer.ok() && answer->method == InferenceMethod::kLifted);
+    benchmark::DoNotOptimize(answer->probability);
+  }
+}
+BENCHMARK(BM_SafeQueryGroupScaling)
+    ->ArgNames({"tuples", "qj"})
+    ->Args({4000, 0})
+    ->Args({4000, 1})
+    ->Args({40000, 0})
+    ->Args({40000, 1})
+    ->Args({400000, 0})
+    ->Args({400000, 1})
+    ->Unit(benchmark::kMillisecond);
+
+/// Sentences with a negated atom through the same warm Session path. R(x)
+/// holds `n` values and S(x,y) three tuples per value, so the unate
+/// rewrite materializes a complement of n² tuples for !S (arm 0) or n
+/// tuples for !R (arm 1), per query. Arm 0 probes the complement S__c once
+/// per value of x; arm 1 probes the stored S once per value of x.
+void BM_NegatedSentenceLifted(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Relation r("R", Schema::Anonymous(1));
+  Relation s("S", Schema::Anonymous(2));
+  Rng rng(17);
+  for (int64_t x = 0; x < n; ++x) {
+    PDB_CHECK(r.AddTuple({Value(x)}, 0.1 + 0.8 * rng.NextDouble()).ok());
+    for (int64_t k = 0; k < 3; ++k) {
+      PDB_CHECK(s.AddTuple({Value(x), Value((x + 7 * k + 1) % n)},
+                           0.1 + 0.8 * rng.NextDouble())
+                    .ok());
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(r)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
+  ProbDatabase pdb(std::move(db));
+  const std::string query = state.range(1) == 0
+                                ? "exists x exists y (R(x) & !S(x,y))"
+                                : "exists x exists y (S(x,y) & !R(x))";
+  Session session(&pdb, {.num_threads = 1, .cache_results = false});
+  PDB_CHECK(session.Query(query).ok());
+  for (auto _ : state) {
+    auto answer = session.Query(query);
+    PDB_CHECK(answer.ok() && answer->method == InferenceMethod::kLifted);
+    benchmark::DoNotOptimize(answer->probability);
+  }
+}
+BENCHMARK(BM_NegatedSentenceLifted)
+    ->ArgNames({"n", "neg_r"})
+    ->Args({100, 0})
+    ->Args({100, 1})
+    ->Args({300, 0})
+    ->Args({300, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // M11: durable write throughput — group commit and batched records.

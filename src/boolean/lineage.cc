@@ -600,20 +600,11 @@ class JoinExecutor {
   // is absent from its column's dictionary.
   void Prepare() {
     IndexCache* cache = exec_ != nullptr ? exec_->index_cache() : nullptr;
-    uint64_t builds = 0;
-    uint64_t hits = 0;
     csteps_.assign(plan_.steps.size(), ColumnarStep{});
     // Pass 1: columnar images — key-part translation tables of later
     // steps need the source step's dictionaries.
     for (size_t s = 0; s < plan_.steps.size(); ++s) {
-      const JoinStep& step = plan_.steps[s];
-      if (cache != nullptr) {
-        bool built = false;
-        csteps_[s].cols = cache->GetOrBuildColumnar(*step.rel, &built);
-        built ? ++builds : ++hits;
-      } else {
-        csteps_[s].cols = step.rel->columnar();
-      }
+      csteps_[s].cols = plan_.steps[s].rel->columnar();
     }
     size_t max_key = 0;
     for (size_t s = 0; s < plan_.steps.size(); ++s) {
@@ -621,17 +612,7 @@ class JoinExecutor {
       ColumnarStep& cs = csteps_[s];
       const ColumnarRelation& cols = *cs.cols;
       if (!step.key_cols.empty()) {
-        if (cache != nullptr) {
-          bool built = false;
-          cs.index =
-              cache->GetOrBuildColumnarIndex(*step.rel, step.key_cols,
-                                             &built);
-          built ? ++builds : ++hits;
-        } else {
-          cs.index =
-              std::make_shared<const ColumnarIndex>(cs.cols, step.key_cols);
-          ++builds;
-        }
+        cs.index = ColumnarIndexFor(*step.rel, step.key_cols, cache, exec_);
         max_key = std::max(max_key, step.key_parts.size());
         cs.parts.resize(step.key_parts.size());
         for (size_t p = 0; p < step.key_parts.size(); ++p) {
@@ -680,10 +661,6 @@ class JoinExecutor {
       }
     }
     key_.assign(max_key, 0);
-    if (exec_ != nullptr) {
-      if (builds > 0) exec_->Add(ExecCounter::kIndexBuilds, builds);
-      if (hits > 0) exec_->Add(ExecCounter::kIndexCacheHits, hits);
-    }
   }
 
   // Batch-filter mask (keyed steps), then binds. Keyless steps with checks

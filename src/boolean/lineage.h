@@ -42,7 +42,6 @@
 namespace pdb {
 
 class ExecContext;
-class IndexCache;
 
 /// Origin of a lineage variable: a row of a relation.
 struct LineageVar {

@@ -103,7 +103,8 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
   if (options.prefer_lifted) {
     TraceSpan lifted_span(trace, TracePhase::kLifted);
     LiftedStats stats;
-    auto lifted = LiftedProbabilityFo(sentence, db_, options.lifted, &stats);
+    auto lifted =
+        LiftedProbabilityFo(sentence, db_, options.lifted, &stats, ctx);
     if (lifted.ok()) {
       lifted_span.AddCounter("separator_groundings",
                              stats.separator_groundings);
@@ -226,7 +227,8 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
   std::optional<PlanBounds> bounds;
   if (as_ucq.ok() && as_ucq->size() == 1 &&
       as_ucq->disjuncts()[0].IsSelfJoinFree()) {
-    auto computed = ComputePlanBounds(as_ucq->disjuncts()[0], db_);
+    auto computed =
+        ComputePlanBounds(as_ucq->disjuncts()[0], db_, /*max_vars=*/7, ctx);
     if (computed.ok()) bounds = *computed;
   }
   if (options.allow_monte_carlo && as_ucq.ok()) {

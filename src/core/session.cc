@@ -718,6 +718,10 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
                        CompileSql(sql, db_->database()));
   out.boolean = compiled.boolean;
   FoPtr sentence = Ucq({compiled.cq}).ToFo();
+  // The safety check and the join plan probe the session's cached indexes,
+  // so the plan's estimates use the same dictionaries execution would.
+  ExecContext plan_ctx;
+  plan_ctx.set_index_cache(index_cache_.get());
 
   // Safety check = the lifted compiler itself: it either produces a
   // polynomial extensional plan (and, being polynomial, cheaply evaluates
@@ -725,7 +729,7 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
   // exactly the routing gate in ProbDatabase::QueryFoWithContext.
   {
     auto lifted = LiftedProbabilityFo(sentence, db_->database(),
-                                      options.lifted);
+                                      options.lifted, nullptr, &plan_ctx);
     if (lifted.ok()) {
       out.safe = true;
       out.safety = "safe: lifted extensional plan applies (polynomial)";
@@ -739,10 +743,7 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
   }
 
   // The compiled join plan: cost-based atom order with per-step
-  // selectivity estimates, against the session index cache so the
-  // estimates use the same cached dictionaries execution would.
-  ExecContext plan_ctx;
-  plan_ctx.set_index_cache(index_cache_.get());
+  // selectivity estimates.
   GroundingOptions grounding;
   grounding.exec = &plan_ctx;
   PDB_ASSIGN_OR_RETURN(

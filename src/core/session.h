@@ -107,13 +107,12 @@ struct SessionOptions {
   /// first). Only traced queries (`QueryOptions::trace` or a caller's
   /// trace) enter the ring.
   size_t trace_ring_size = 32;
-  /// Share one join-index cache (storage/index_cache.h) across every CQ
-  /// grounding issued through the session, so repeated queries (and the
-  /// per-tuple fan-out of QueryWithAnswers) reuse columnar relation images
-  /// and columnar code indexes instead of rebuilding them per grounding.
+  /// Share one index cache (storage/index_cache.h) across every grounding,
+  /// lifted computation and plan bound issued through the session, so
+  /// repeated queries (and the per-tuple fan-out of QueryWithAnswers)
+  /// reuse columnar code indexes instead of rebuilding them per probe.
   /// Invalidated with the result cache when the database generation moves
-  /// (which also detaches stale columnar entries — the relations
-  /// themselves re-encode lazily).
+  /// (the relations themselves re-encode their columnar images lazily).
   bool cache_indexes = true;
   /// Shard (mutex stripe) count of the shared index cache.
   size_t index_cache_shards = 8;
@@ -219,7 +218,7 @@ class Session {
   /// Aggregated counters of the shared WMC cache (zeros when disabled).
   WmcCacheStats wmc_cache_stats() const;
 
-  /// The session's shared join-index cache, or null when
+  /// The session's shared index cache, or null when
   /// `SessionOptions::cache_indexes` is off.
   IndexCache* index_cache() { return index_cache_.get(); }
   /// Aggregated counters of the shared index cache (zeros when disabled).

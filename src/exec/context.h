@@ -61,8 +61,10 @@ struct ExecReport {
   size_t wmc_shared_bytes = 0;  ///< resident bytes of the shared cache
   uint64_t lineage_matches = 0;  ///< CQ join matches enumerated
   uint64_t lineage_nodes = 0;    ///< lineage formula nodes / DNF entries built
-  uint64_t index_builds = 0;     ///< join indexes built for grounding
-  uint64_t index_cache_hits = 0;  ///< index requests served by the cache
+  uint64_t index_builds = 0;     ///< indexes built for joins, lifted, plans
+  /// Index requests served by a cache: the session's, or the one a lifted
+  /// call keeps for itself (storage/index_cache.h).
+  uint64_t index_cache_hits = 0;
   /// Parallel helper tasks refused by `ThreadPool::TrySubmit` because the
   /// pool was saturated — the work ran inline on the submitting thread
   /// instead (load shed from the pool, never lost).
@@ -166,9 +168,10 @@ class ExecContext {
   WmcCache* wmc_cache() const { return wmc_cache_; }
   void set_wmc_cache(WmcCache* cache) { wmc_cache_ = cache; }
 
-  /// Session-owned join-index cache (storage/index_cache.h), or null when
-  /// the caller has no session (each grounding then builds throwaway
-  /// indexes). Carried, not owned, like the WMC cache.
+  /// Session-owned index cache (storage/index_cache.h), or null when the
+  /// caller has no session (joins and plan scans then build a throwaway
+  /// index per request; the lifted engine builds each index once per
+  /// call). Carried, not owned, like the WMC cache.
   IndexCache* index_cache() const { return index_cache_; }
   void set_index_cache(IndexCache* cache) { index_cache_ = cache; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/context.h"
 #include "logic/containment.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -385,39 +386,42 @@ Result<double> LiftedEngine::ComputeConjunction(CqVec conjuncts,
 }
 
 Result<std::set<Value>> LiftedEngine::SeparatorSupport(
-    const CqVec& disjuncts, const std::vector<std::string>& roots) const {
+    const CqVec& disjuncts, const std::vector<std::string>& roots) {
+  IndexCache* session_cache =
+      exec_ != nullptr ? exec_->index_cache() : nullptr;
   std::set<Value> support;
   for (size_t d = 0; d < disjuncts.size(); ++d) {
     std::set<Value> disjunct_support;
     bool first_atom = true;
     for (const Atom& atom : disjuncts[d].atoms()) {
       PDB_ASSIGN_OR_RETURN(const Relation* rel, db_.Get(atom.predicate));
-      // Positions of the root and of constants within this atom.
+      // Positions of the root, and the constants that select this atom's
+      // rows through an index probe.
       std::vector<size_t> root_positions;
-      std::vector<std::pair<size_t, Value>> constants;
+      std::vector<size_t> key_cols;
+      Tuple key;
       for (size_t j = 0; j < atom.args.size(); ++j) {
         const Term& t = atom.args[j];
         if (t.is_variable() && t.var() == roots[d]) {
           root_positions.push_back(j);
         } else if (t.is_constant()) {
-          constants.emplace_back(j, t.constant());
+          key_cols.push_back(j);
+          key.push_back(t.constant());
         }
       }
       PDB_CHECK(!root_positions.empty());  // separator occurs in every atom
+      // The unate rewrite's complements exist for this call only: caching
+      // their indexes in the session would grow it until the next mutation.
+      IndexCache* cache = session_cache == nullptr ||
+                                  IsComplementSymbol(atom.predicate)
+                              ? &call_cache_
+                              : session_cache;
       std::set<Value> atom_support;
-      for (size_t row = 0; row < rel->size(); ++row) {
+      for (uint32_t row : MatchingRows(*rel, key_cols, key, cache, exec_)) {
         const Tuple& tuple = rel->tuple(row);
         bool match = true;
-        for (const auto& [j, v] : constants) {
-          if (!(tuple[j] == v)) {
-            match = false;
-            break;
-          }
-        }
         for (size_t r = 1; r < root_positions.size() && match; ++r) {
-          if (!(tuple[root_positions[r]] == tuple[root_positions[0]])) {
-            match = false;
-          }
+          match = tuple[root_positions[r]] == tuple[root_positions[0]];
         }
         if (match) atom_support.insert(tuple[root_positions[0]]);
       }
@@ -468,10 +472,10 @@ Result<double> LiftedProbability(const Ucq& ucq, const Database& db,
 }
 
 Result<double> LiftedProbabilityFo(const FoPtr& sentence, const Database& db,
-                                   LiftedOptions options,
-                                   LiftedStats* stats) {
+                                   LiftedOptions options, LiftedStats* stats,
+                                   ExecContext* exec) {
   PDB_ASSIGN_OR_RETURN(UnateRewrite rewrite, RewriteUnateForUcq(sentence, db));
-  LiftedEngine engine(rewrite.database, options);
+  LiftedEngine engine(rewrite.database, options, exec);
   Result<double> result = engine.Compute(rewrite.ucq);
   if (stats != nullptr) *stats = engine.stats();
   if (!result.ok()) return result;

@@ -33,9 +33,12 @@
 #include "logic/analysis.h"
 #include "logic/cq.h"
 #include "storage/database.h"
+#include "storage/index_cache.h"
 #include "util/status.h"
 
 namespace pdb {
+
+class ExecContext;
 
 /// Knobs for the lifted engine.
 struct LiftedOptions {
@@ -68,8 +71,13 @@ struct LiftedStats {
 /// Lifted inference over one database instance.
 class LiftedEngine {
  public:
-  explicit LiftedEngine(const Database& db, LiftedOptions options = {})
-      : db_(db), options_(options) {}
+  /// `exec`, when non-null, serves the engine's index probes from its
+  /// index cache and counts them. Probes of the unate rewrite's complements,
+  /// and every probe when `exec` carries no index cache, go to a cache that
+  /// lives as long as the engine (storage/index_cache.h, Lifecycle).
+  explicit LiftedEngine(const Database& db, LiftedOptions options = {},
+                        ExecContext* exec = nullptr)
+      : db_(db), options_(options), exec_(exec) {}
 
   /// Probability of the UCQ; Unsupported when the rules do not apply
   /// (the query is then #P-hard for the classes with a known dichotomy).
@@ -86,9 +94,9 @@ class LiftedEngine {
                                  const std::vector<std::string>& roots,
                                  size_t depth);
   /// Set of constants the separator must range over (values with any
-  /// nonzero disjunct).
+  /// nonzero disjunct), read through an index on each atom's constants.
   Result<std::set<Value>> SeparatorSupport(
-      const CqVec& disjuncts, const std::vector<std::string>& roots) const;
+      const CqVec& disjuncts, const std::vector<std::string>& roots);
 
   /// Applies data-level simplifications to one CQ; returns unsatisfiable
   /// (nullopt-like flag) via `satisfiable`.
@@ -99,6 +107,8 @@ class LiftedEngine {
 
   const Database& db_;
   LiftedOptions options_;
+  ExecContext* exec_;
+  IndexCache call_cache_{{.num_shards = 1}};
   LiftedStats stats_;
   std::map<std::string, double> cache_;
   std::set<std::string> in_progress_;  // cycle detection => rules failed
@@ -112,10 +122,11 @@ Result<double> LiftedProbability(const Ucq& ucq, const Database& db,
 /// Probability of a unate FO sentence with a pure ∃*/∀* quantifier
 /// structure (Theorem 4.1's class): rewrites negated symbols to complement
 /// relations and universal sentences through their negation, then runs the
-/// lifted engine.
+/// lifted engine with `exec`.
 Result<double> LiftedProbabilityFo(const FoPtr& sentence, const Database& db,
                                    LiftedOptions options = {},
-                                   LiftedStats* stats = nullptr);
+                                   LiftedStats* stats = nullptr,
+                                   ExecContext* exec = nullptr);
 
 }  // namespace pdb
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string_view>
 
 #include "util/check.h"
 #include "util/string_util.h"
@@ -253,7 +254,16 @@ bool IsUniversalSentence(const FoPtr& f) {
   return !ContainsKind(ToNnf(f), FoKind::kExists);
 }
 
-std::string ComplementSymbol(const std::string& name) { return name + "__c"; }
+constexpr std::string_view kComplementSuffix = "__c";
+
+std::string ComplementSymbol(const std::string& name) {
+  return name + std::string(kComplementSuffix);
+}
+
+bool IsComplementSymbol(const std::string& name) {
+  return name.size() > kComplementSuffix.size() &&
+         name.ends_with(kComplementSuffix);
+}
 
 Result<Relation> ComplementRelation(const Relation& rel,
                                     const std::vector<Value>& domain,
@@ -368,13 +378,11 @@ Result<UnateRewrite> RewriteUnateForUcq(const FoPtr& sentence,
   for (const std::string& pred : rewrite.ucq.Predicates()) {
     if (rewrite.database.HasRelation(pred)) continue;
     // pred must be a complement symbol R__c of an existing relation R.
-    const std::string suffix = "__c";
-    if (pred.size() <= suffix.size() ||
-        pred.compare(pred.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    if (!IsComplementSymbol(pred)) {
       return Status::NotFound(
           StrFormat("query references unknown relation '%s'", pred.c_str()));
     }
-    std::string base = pred.substr(0, pred.size() - suffix.size());
+    std::string base = pred.substr(0, pred.size() - kComplementSuffix.size());
     PDB_ASSIGN_OR_RETURN(const Relation* rel, rewrite.database.Get(base));
     if (!domain.has_value()) domain = db.ActiveDomain();
     PDB_ASSIGN_OR_RETURN(

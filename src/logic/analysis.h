@@ -91,6 +91,9 @@ Result<UnateRewrite> RewriteUnateForUcq(const FoPtr& sentence,
 /// Name used for the complement symbol of relation `name`.
 std::string ComplementSymbol(const std::string& name);
 
+/// True when `name` has the form of a complement symbol.
+bool IsComplementSymbol(const std::string& name);
+
 /// Materializes the complement of `rel` over `domain`^arity: every tuple t
 /// gets probability 1 - p_rel(t) (so tuples absent from rel get 1).
 Result<Relation> ComplementRelation(const Relation& rel,

@@ -11,22 +11,6 @@ namespace pdb {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 uint64_t WallClockUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -30,23 +30,6 @@ double BucketUpperBound(size_t i) {
   return std::ldexp(1.0, static_cast<int>(i)) - 1.0;
 }
 
-/// JSON string escaping for metric names (conservative: names are ASCII).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void Histogram::Record(uint64_t value) {

@@ -34,7 +34,8 @@ Result<Database> DissociateForLowerBound(const ConjunctiveQuery& cq,
 }
 
 Result<PlanBounds> ComputePlanBounds(const ConjunctiveQuery& cq,
-                                     const Database& db, size_t max_vars) {
+                                     const Database& db, size_t max_vars,
+                                     ExecContext* exec) {
   PDB_ASSIGN_OR_RETURN(std::vector<PlanPtr> plans,
                        EnumerateAllPlans(cq, max_vars));
   PDB_ASSIGN_OR_RETURN(Database dissociated, DissociateForLowerBound(cq, db));
@@ -43,14 +44,15 @@ Result<PlanBounds> ComputePlanBounds(const ConjunctiveQuery& cq,
   bounds.lower = 0.0;
   bounds.upper = 1.0;
   for (const PlanPtr& plan : plans) {
-    PDB_ASSIGN_OR_RETURN(double upper, ExecuteBooleanPlan(plan, db));
-    PDB_ASSIGN_OR_RETURN(double lower, ExecuteBooleanPlan(plan, dissociated));
+    PDB_ASSIGN_OR_RETURN(double upper, ExecuteBooleanPlan(plan, db, exec));
+    PDB_ASSIGN_OR_RETURN(double lower,
+                         ExecuteBooleanPlan(plan, dissociated, exec));
     bounds.upper = std::min(bounds.upper, upper);
     bounds.lower = std::max(bounds.lower, lower);
   }
   if (IsHierarchical(cq)) {
     PDB_ASSIGN_OR_RETURN(PlanPtr safe, BuildSafePlan(cq));
-    PDB_ASSIGN_OR_RETURN(double value, ExecuteBooleanPlan(safe, db));
+    PDB_ASSIGN_OR_RETURN(double value, ExecuteBooleanPlan(safe, db, exec));
     bounds.safe_value = value;
   }
   return bounds;

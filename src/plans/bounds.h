@@ -37,9 +37,11 @@ struct PlanBounds {
 };
 
 /// Evaluates all plans (bounded enumeration) to produce the tightest
-/// oblivious bounds for a self-join-free Boolean CQ.
+/// oblivious bounds for a self-join-free Boolean CQ. The plans run with
+/// `exec` (see `ExecutePlan`).
 Result<PlanBounds> ComputePlanBounds(const ConjunctiveQuery& cq,
-                                     const Database& db, size_t max_vars = 7);
+                                     const Database& db, size_t max_vars = 7,
+                                     ExecContext* exec = nullptr);
 
 }  // namespace pdb
 

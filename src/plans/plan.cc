@@ -5,6 +5,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "exec/context.h"
+#include "storage/index_cache.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -69,7 +71,8 @@ std::string PlanNode::ToString() const {
 
 namespace {
 
-Result<PlanRelation> ExecuteScan(const PlanNode& plan, const Database& db) {
+Result<PlanRelation> ExecuteScan(const PlanNode& plan, const Database& db,
+                                 ExecContext* exec) {
   const Atom& atom = plan.atom();
   PDB_ASSIGN_OR_RETURN(const Relation* rel, db.Get(atom.predicate));
   if (rel->arity() != atom.arity()) {
@@ -77,32 +80,31 @@ Result<PlanRelation> ExecuteScan(const PlanNode& plan, const Database& db) {
         StrFormat("scan of %s: arity mismatch (relation has %zu columns)",
                   atom.ToString().c_str(), rel->arity()));
   }
-  PlanRelation out;
-  out.vars = plan.output_vars();
-  // Position of the first occurrence of each output var in the atom.
-  std::vector<size_t> var_pos;
-  for (const std::string& v : out.vars) {
-    for (size_t j = 0; j < atom.args.size(); ++j) {
-      if (atom.args[j].is_variable() && atom.args[j].var() == v) {
-        var_pos.push_back(j);
-        break;
-      }
+  // Constants select through an index probe; a repeated variable must
+  // agree with its first occurrence.
+  std::vector<size_t> key_cols;
+  Tuple key;
+  std::map<std::string, size_t> first_pos;
+  std::vector<std::pair<size_t, size_t>> repeats;  // (position, first)
+  for (size_t j = 0; j < atom.args.size(); ++j) {
+    const Term& t = atom.args[j];
+    if (t.is_constant()) {
+      key_cols.push_back(j);
+      key.push_back(t.constant());
+    } else if (auto [it, inserted] = first_pos.emplace(t.var(), j);
+               !inserted) {
+      repeats.emplace_back(j, it->second);
     }
   }
-  for (size_t row = 0; row < rel->size(); ++row) {
+  PlanRelation out;
+  out.vars = plan.output_vars();
+  std::vector<size_t> var_pos;
+  for (const std::string& v : out.vars) var_pos.push_back(first_pos.at(v));
+  IndexCache* cache = exec != nullptr ? exec->index_cache() : nullptr;
+  for (uint32_t row : MatchingRows(*rel, key_cols, key, cache, exec)) {
     const Tuple& tuple = rel->tuple(row);
     bool match = true;
-    // Constants must match; repeated variables must agree.
-    std::map<std::string, Value> binding;
-    for (size_t j = 0; j < atom.args.size() && match; ++j) {
-      const Term& t = atom.args[j];
-      if (t.is_constant()) {
-        match = tuple[j] == t.constant();
-      } else {
-        auto [it, inserted] = binding.emplace(t.var(), tuple[j]);
-        if (!inserted) match = it->second == tuple[j];
-      }
-    }
+    for (const auto& [j, f] : repeats) match = match && tuple[j] == tuple[f];
     if (!match) continue;
     Tuple out_row;
     out_row.reserve(var_pos.size());
@@ -203,30 +205,35 @@ PlanRelation ExecuteProject(const PlanRelation& child,
 
 }  // namespace
 
-Result<PlanRelation> ExecutePlan(const PlanPtr& plan, const Database& db) {
+Result<PlanRelation> ExecutePlan(const PlanPtr& plan, const Database& db,
+                                 ExecContext* exec) {
   switch (plan->kind()) {
     case PlanKind::kScan:
-      return ExecuteScan(*plan, db);
+      return ExecuteScan(*plan, db, exec);
     case PlanKind::kJoin: {
-      PDB_ASSIGN_OR_RETURN(PlanRelation left, ExecutePlan(plan->left(), db));
-      PDB_ASSIGN_OR_RETURN(PlanRelation right, ExecutePlan(plan->right(), db));
+      PDB_ASSIGN_OR_RETURN(PlanRelation left,
+                           ExecutePlan(plan->left(), db, exec));
+      PDB_ASSIGN_OR_RETURN(PlanRelation right,
+                           ExecutePlan(plan->right(), db, exec));
       return ExecuteJoin(left, right);
     }
     case PlanKind::kProject: {
-      PDB_ASSIGN_OR_RETURN(PlanRelation child, ExecutePlan(plan->child(), db));
+      PDB_ASSIGN_OR_RETURN(PlanRelation child,
+                           ExecutePlan(plan->child(), db, exec));
       return ExecuteProject(child, plan->keep());
     }
   }
   return Status::Internal("unreachable plan kind");
 }
 
-Result<double> ExecuteBooleanPlan(const PlanPtr& plan, const Database& db) {
+Result<double> ExecuteBooleanPlan(const PlanPtr& plan, const Database& db,
+                                  ExecContext* exec) {
   if (!plan->output_vars().empty()) {
     return Status::InvalidArgument(
         "plan has output variables; wrap it in Project{} for a Boolean "
         "result");
   }
-  PDB_ASSIGN_OR_RETURN(PlanRelation result, ExecutePlan(plan, db));
+  PDB_ASSIGN_OR_RETURN(PlanRelation result, ExecutePlan(plan, db, exec));
   if (result.rows.empty()) return 0.0;
   PDB_CHECK(result.rows.size() == 1);
   return result.probs[0];

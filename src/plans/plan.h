@@ -26,6 +26,7 @@
 
 namespace pdb {
 
+class ExecContext;
 class PlanNode;
 using PlanPtr = std::shared_ptr<const PlanNode>;
 
@@ -82,10 +83,14 @@ struct PlanRelation {
 
 /// Executes `plan` against `db`. For a Boolean plan (no output variables)
 /// the result has one row with the final probability (or no rows: 0).
-Result<PlanRelation> ExecutePlan(const PlanPtr& plan, const Database& db);
+/// Scans with constants probe an index, served from `exec`'s index cache
+/// when it carries one.
+Result<PlanRelation> ExecutePlan(const PlanPtr& plan, const Database& db,
+                                 ExecContext* exec = nullptr);
 
 /// Executes a Boolean plan and returns the single probability.
-Result<double> ExecuteBooleanPlan(const PlanPtr& plan, const Database& db);
+Result<double> ExecuteBooleanPlan(const PlanPtr& plan, const Database& db,
+                                  ExecContext* exec = nullptr);
 
 }  // namespace pdb
 

@@ -49,22 +49,6 @@ uint64_t WallMicros() {
           .count());
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string ValueToJson(const Value& v) {
   switch (v.type()) {
     case ValueType::kInt:

@@ -8,22 +8,6 @@ namespace pdb {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string DurationText(uint64_t ns) {
   if (ns >= 1'000'000) return StrFormat("%.3fms", ns / 1e6);
   if (ns >= 1'000) return StrFormat("%.3fus", ns / 1e3);

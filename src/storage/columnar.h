@@ -11,9 +11,8 @@
 ///
 /// Because the dictionary is sorted by the `Value` total order, rank
 /// equality is value equality *within one column's code space*, the
-/// dictionary doubles as the sorted distinct-value list
-/// (`Relation::DistinctValues` returns it directly), and code spaces of two
-/// different columns can be aligned with a linear two-pointer merge
+/// dictionary doubles as the sorted distinct-value list, and code spaces
+/// of two different columns can be aligned with a linear two-pointer merge
 /// (`BuildCodeTranslation`), which is how cross-column joins compare codes
 /// without ever touching a `Value` on the hot path.
 ///

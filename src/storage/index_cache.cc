@@ -1,13 +1,15 @@
 #include "storage/index_cache.h"
 
 #include <functional>
+#include <numeric>
 #include <utility>
+
+#include "exec/context.h"
 
 namespace pdb {
 
 size_t IndexCache::KeyHash::operator()(const Key& key) const {
-  size_t h = std::hash<const void*>()(key.relation);
-  h = h * 1315423911u + static_cast<size_t>(key.flavor);
+  size_t h = std::hash<const void*>()(key.image);
   for (size_t col : key.key_cols) {
     h = h * 1315423911u + std::hash<size_t>()(col) + 0x9e3779b97f4a7c15ull;
   }
@@ -20,47 +22,28 @@ IndexCache::IndexCache(IndexCacheOptions options) {
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-IndexCache::Shard& IndexCache::ShardFor(const Key& key) {
-  return *shards_[KeyHash()(key) % shards_.size()];
-}
-
-template <typename T, typename BuildFn>
-std::shared_ptr<const T> IndexCache::GetOrBuildEntry(Key key, bool* built,
-                                                     BuildFn&& build) {
-  Shard& shard = ShardFor(key);
+std::shared_ptr<const ColumnarIndex> IndexCache::GetOrBuildColumnarIndex(
+    const Relation& relation, const std::vector<size_t>& key_cols,
+    bool* built) {
+  std::shared_ptr<const ColumnarRelation> image = relation.columnar();
+  Key key{image.get(), key_cols};
+  Shard& shard = *shards_[KeyHash()(key) % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (built != nullptr) *built = false;
-    return std::static_pointer_cast<const T>(it->second);
+    return it->second;
   }
   // Build inside the shard lock: concurrent requests for the same index
   // build it exactly once, and requests for other indexes only stall when
   // they collide on this shard.
-  std::shared_ptr<const T> entry = build();
-  shard.map.emplace(std::move(key), entry);
+  auto index = std::make_shared<const ColumnarIndex>(std::move(image),
+                                                     key_cols);
+  shard.map.emplace(std::move(key), index);
   builds_.fetch_add(1, std::memory_order_relaxed);
   if (built != nullptr) *built = true;
-  return entry;
-}
-
-std::shared_ptr<const ColumnarRelation> IndexCache::GetOrBuildColumnar(
-    const Relation& relation, bool* built) {
-  Key key{&relation, {}, Flavor::kColumnar};
-  return GetOrBuildEntry<ColumnarRelation>(std::move(key), built, [&] {
-    return relation.columnar();
-  });
-}
-
-std::shared_ptr<const ColumnarIndex> IndexCache::GetOrBuildColumnarIndex(
-    const Relation& relation, const std::vector<size_t>& key_cols,
-    bool* built) {
-  Key key{&relation, key_cols, Flavor::kColumnarIndex};
-  return GetOrBuildEntry<ColumnarIndex>(std::move(key), built, [&] {
-    return std::make_shared<const ColumnarIndex>(relation.columnar(),
-                                                 key_cols);
-  });
+  return index;
 }
 
 void IndexCache::Clear() {
@@ -79,6 +62,48 @@ IndexCacheStats IndexCache::stats() const {
     stats.entries += shard->map.size();
   }
   return stats;
+}
+
+std::shared_ptr<const ColumnarIndex> ColumnarIndexFor(
+    const Relation& relation, const std::vector<size_t>& key_cols,
+    IndexCache* cache, ExecContext* exec) {
+  bool built = true;
+  std::shared_ptr<const ColumnarIndex> index =
+      cache != nullptr
+          ? cache->GetOrBuildColumnarIndex(relation, key_cols, &built)
+          : std::make_shared<const ColumnarIndex>(relation.columnar(),
+                                                  key_cols);
+  if (exec != nullptr) {
+    exec->Add(built ? ExecCounter::kIndexBuilds : ExecCounter::kIndexCacheHits,
+              1);
+  }
+  return index;
+}
+
+std::vector<uint32_t> MatchingRows(const Relation& relation,
+                                   const std::vector<size_t>& key_cols,
+                                   const Tuple& key, IndexCache* cache,
+                                   ExecContext* exec) {
+  std::vector<uint32_t> rows;
+  if (key_cols.empty()) {
+    rows.resize(relation.size());
+    std::iota(rows.begin(), rows.end(), 0u);
+    return rows;
+  }
+  std::shared_ptr<const ColumnarRelation> image = relation.columnar();
+  std::vector<uint32_t> codes(key.size());
+  for (size_t p = 0; p < key.size(); ++p) {
+    codes[p] = image->CodeOf(key_cols[p], key[p]);
+    // A value no row holds: nothing matches.
+    if (codes[p] == ColumnarRelation::kNoCode) return rows;
+  }
+  std::shared_ptr<const ColumnarIndex> index =
+      ColumnarIndexFor(relation, key_cols, cache, exec);
+  const uint32_t* bucket = nullptr;
+  size_t count = 0;
+  index->Lookup(codes.data(), &bucket, &count);
+  rows.assign(bucket, bucket + count);
+  return rows;
 }
 
 }  // namespace pdb

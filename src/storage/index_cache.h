@@ -1,15 +1,17 @@
 /// \file index_cache.h
-/// \brief Session-lifetime cache of the join executor's columnar indexes.
+/// \brief Cache of columnar indexes, and the one way the engines reach a
+/// relation's rows by key.
 ///
-/// The grounding engine (boolean/lineage.cc) runs over each relation's
-/// columnar image and probes one `ColumnarIndex` per join step with bound
-/// positions. Without this cache every query would rebuild those indexes
-/// from scratch — O(rows) per query per atom — even when a session served
-/// thousands of identical joins against an unchanged database. The cache
-/// is keyed by (relation identity, key columns) and hands out
-/// `shared_ptr<const ...>`, so a reader keeps its index alive across a
-/// concurrent `Clear()` (generation invalidation) without locks on the
-/// probe path of the index itself.
+/// The join executor (boolean/lineage.cc), the lifted engine's separator
+/// support (lifted/lifted.cc) and the plan executor's scans
+/// (plans/plan.cc) all read stored rows through a `ColumnarIndex` on the
+/// bound columns, obtained from `ColumnarIndexFor`. Without the cache a
+/// `Session` owns, every query would rebuild those indexes from scratch —
+/// O(rows) per query per atom — even when a session served thousands of
+/// identical queries against an unchanged database. The cache hands out
+/// `shared_ptr<const ColumnarIndex>`, so a reader keeps its index alive
+/// across a concurrent `Clear()` without locks on the probe path of the
+/// index itself.
 ///
 /// Concurrency follows the WmcCache idiom: the key space is partitioned
 /// into mutex-striped shards, and a build happens inside the shard lock so
@@ -17,17 +19,23 @@
 /// of the race gets the winner's pointer). Builds for *different* indexes
 /// only contend when they collide on a shard.
 ///
-/// Lifecycle: the cache is owned by `Session`, invalidated with the same
-/// generation discipline as the result and WMC caches (a database mutation
-/// clears it), and relations are keyed by address. A relation is a heap
-/// object shared by the copies of its copy-on-write `Database`, so its
-/// address is stable until it is destroyed, and every copy sees the same
-/// address. A mutation through `GetMutable` may clone a shared relation:
-/// the clone gets a new address, and the old entries become unreachable
-/// garbage that the same mutation's `Clear()` drops. A freed relation's
-/// address can be reused by the next allocation, so per-query relations,
-/// such as the unate rewrite's complements, must never be cached by
-/// address: only relations of the session's own database are.
+/// Lifecycle: an entry is keyed by the columnar image it was built from
+/// (`Relation::columnar()`) and the key columns. The image is immutable and
+/// the entry's index holds it alive, so its address cannot be reused while
+/// the entry exists: a key always names the exact rows the index was built
+/// over. A mutated relation gets a new image and therefore new keys; its
+/// old entries can no longer be reached and wait for the next `Clear()`,
+/// which the session runs on every database mutation. Relations that share
+/// an image, such as the copies of a copy-on-write `Database` and the
+/// reweighted clones of a dissociation, share its entries. The unate
+/// rewrite's complements exist for one query; in the session cache they
+/// would pile up until the next mutation. The lifted engine therefore
+/// keeps a second cache that lives for one call. It holds every relation
+/// named like a complement (`IsComplementSymbol`, which also matches a
+/// stored relation whose name ends in `__c`), and every relation when the
+/// caller has no session cache, so each index is built once per call
+/// rather than once per probe. Its builds and hits count on the caller's
+/// `ExecContext` like the session cache's.
 
 #ifndef PDB_STORAGE_INDEX_CACHE_H_
 #define PDB_STORAGE_INDEX_CACHE_H_
@@ -45,9 +53,9 @@
 
 namespace pdb {
 
-/// Aggregated counters of one `IndexCache`. Columnar images and columnar
-/// code indexes both count here — they share the shards and the
-/// generation-invalidation lifecycle.
+class ExecContext;
+
+/// Aggregated counters of one `IndexCache`.
 struct IndexCacheStats {
   uint64_t builds = 0;  ///< indexes constructed (cache misses)
   uint64_t hits = 0;    ///< requests served by an existing index
@@ -61,8 +69,8 @@ struct IndexCacheOptions {
   size_t num_shards = 8;
 };
 
-/// Sharded, thread-safe cache of columnar images and code indexes keyed by
-/// (relation address, key columns).
+/// Sharded, thread-safe cache of columnar indexes keyed by (columnar image,
+/// key columns).
 class IndexCache {
  public:
   explicit IndexCache(IndexCacheOptions options = {});
@@ -70,17 +78,10 @@ class IndexCache {
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
 
-  /// The dictionary-encoded columnar image of `relation` (the build itself
-  /// is delegated to — and also cached on — the relation, so a rebuilt
-  /// cache after `Clear()` reattaches to the existing image instead of
-  /// re-encoding). When `built` is non-null it is set to whether this call
-  /// created the entry (for per-query accounting). The returned pointer
+  /// The columnar index of `relation`'s current image keyed on `key_cols`,
+  /// built under the shard lock on first request. When `built` is non-null
+  /// it is set to whether this call built the index. The returned pointer
   /// stays valid after `Clear()` for as long as the caller holds it.
-  std::shared_ptr<const ColumnarRelation> GetOrBuildColumnar(
-      const Relation& relation, bool* built = nullptr);
-
-  /// The columnar code index of `relation` keyed on `key_cols`, built under
-  /// the shard lock on first request; `built` and lifetime as above.
   std::shared_ptr<const ColumnarIndex> GetOrBuildColumnarIndex(
       const Relation& relation, const std::vector<size_t>& key_cols,
       bool* built = nullptr);
@@ -91,17 +92,11 @@ class IndexCache {
   IndexCacheStats stats() const;
 
  private:
-  /// Entry flavours share the key space; `key_cols` is empty for the
-  /// whole-relation columnar image.
-  enum class Flavor : uint8_t { kColumnar, kColumnarIndex };
-
   struct Key {
-    const Relation* relation;
+    const ColumnarRelation* image;
     std::vector<size_t> key_cols;
-    Flavor flavor = Flavor::kColumnar;
     bool operator==(const Key& other) const {
-      return relation == other.relation && flavor == other.flavor &&
-             key_cols == other.key_cols;
+      return image == other.image && key_cols == other.key_cols;
     }
   };
   struct KeyHash {
@@ -109,22 +104,29 @@ class IndexCache {
   };
   struct Shard {
     mutable std::mutex mu;
-    // Type-erased so one shard map holds both flavours; the typed
-    // getters cast back according to Key::flavor.
-    std::unordered_map<Key, std::shared_ptr<const void>, KeyHash> map;
+    std::unordered_map<Key, std::shared_ptr<const ColumnarIndex>, KeyHash>
+        map;
   };
-
-  Shard& ShardFor(const Key& key);
-
-  /// Looks up `key`, building via `build()` on a miss; counts hit/build.
-  template <typename T, typename BuildFn>
-  std::shared_ptr<const T> GetOrBuildEntry(Key key, bool* built,
-                                           BuildFn&& build);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> builds_{0};
   std::atomic<uint64_t> hits_{0};
 };
+
+/// The columnar index of `relation` keyed on `key_cols`: from `cache` when
+/// it is non-null, otherwise built for this caller alone. Counts one index
+/// build or cache hit on `exec` when it is non-null.
+std::shared_ptr<const ColumnarIndex> ColumnarIndexFor(
+    const Relation& relation, const std::vector<size_t>& key_cols,
+    IndexCache* cache, ExecContext* exec);
+
+/// Ids of `relation`'s rows whose columns `key_cols` hold the values `key`,
+/// ascending: a probe of `ColumnarIndexFor(relation, key_cols, cache,
+/// exec)`, or every row when `key_cols` is empty.
+std::vector<uint32_t> MatchingRows(const Relation& relation,
+                                   const std::vector<size_t>& key_cols,
+                                   const Tuple& key, IndexCache* cache,
+                                   ExecContext* exec);
 
 }  // namespace pdb
 

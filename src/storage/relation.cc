@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 
 #include "storage/columnar.h"
 #include "util/string_util.h"
@@ -105,14 +104,6 @@ double Relation::ProbOf(const Tuple& tuple) const {
   return it == index_.end() ? 0.0 : probs_[it->second];
 }
 
-std::vector<Value> Relation::DistinctValues(size_t col) const {
-  // The columnar dictionary *is* the sorted distinct-value list; reuse it
-  // instead of rescanning when the sidecar has already been built.
-  if (auto cols = columnar_if_built()) return cols->dict(col);
-  std::set<Value> seen;
-  for (const Tuple& t : tuples_) seen.insert(t[col]);
-  return std::vector<Value>(seen.begin(), seen.end());
-}
 
 std::shared_ptr<const ColumnarRelation> Relation::columnar() const {
   std::lock_guard<std::mutex> lock(columnar_mu_);

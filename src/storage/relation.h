@@ -67,10 +67,6 @@ class Relation {
   /// Marginal probability of `tuple` (0 when absent).
   double ProbOf(const Tuple& tuple) const;
 
-  /// Sorted distinct values of column `col`. Served from the columnar
-  /// sidecar's dictionary when one has been built (no rescan).
-  std::vector<Value> DistinctValues(size_t col) const;
-
   /// The dictionary-encoded columnar image of this relation, built on
   /// first request and cached until the next `AddTuple`. Thread-safe; the
   /// returned image stays valid after invalidation for as long as the
@@ -103,8 +99,9 @@ class Relation {
   mutable std::shared_ptr<const ColumnarRelation> columnar_;
 };
 
-/// Equality (hash) index on a subset of a relation's columns, for joins and
-/// selections in the extensional plan executor.
+/// Equality (hash) index on a subset of a relation's columns, for the
+/// reference matcher (`EnumerateCqMatchesReference`) that tests compare the
+/// join executor against.
 class HashIndex {
  public:
   /// Builds an index of `relation` keyed on `key_cols`.

@@ -54,4 +54,20 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += StrFormat("\\u%04x", c);
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
 }  // namespace pdb

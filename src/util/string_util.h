@@ -1,6 +1,6 @@
 /// \file string_util.h
 /// \brief Small string helpers shared across modules (splitting, joining,
-/// printf-style formatting into std::string).
+/// printf-style formatting into std::string, JSON string escaping).
 
 #ifndef PDB_UTIL_STRING_UTIL_H_
 #define PDB_UTIL_STRING_UTIL_H_
@@ -24,6 +24,11 @@ std::string_view StrTrim(std::string_view text);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Escapes `text` for the inside of a JSON string literal: a quote or
+/// backslash gets a backslash, a byte below 0x20 becomes `\u00XX`, and every
+/// other byte (UTF-8 sequences included) passes through unchanged.
+std::string JsonEscape(std::string_view text);
 
 }  // namespace pdb
 

@@ -7,6 +7,8 @@
 //  - DPLL + shared WMC cache, cold/warm (bit-identical: EXPECT_EQ)
 //  - brute-force enumeration            (ground truth when <= 18 vars)
 //  - lifted inference                   (when the query is safe)
+//  - lifted, its negation and the plan bounds through a seed-lifetime
+//    index cache                        (bit-identical: EXPECT_EQ)
 //  - OBDD and decision-DNNF compilation (exact backends)
 //  - Karp-Luby sampling on 4 pool workers (within 4 sigma)
 // Any disagreement is a bug in at least one backend.
@@ -22,6 +24,8 @@
 #include "kc/order.h"
 #include "kc/trace_compiler.h"
 #include "lifted/lifted.h"
+#include "plans/bounds.h"
+#include "storage/index_cache.h"
 #include "test_common.h"
 #include "wmc/dpll.h"
 #include "wmc/enumeration.h"
@@ -33,6 +37,14 @@ namespace {
 
 class DifferentialConsistency : public ::testing::TestWithParam<uint64_t> {};
 
+std::vector<uint64_t> StatsFields(const LiftedStats& s) {
+  return {s.independent_unions, s.independent_products,
+          s.separator_groundings, s.inclusion_exclusions,
+          s.ie_max_width,       s.ie_terms_total,
+          s.ie_terms_cancelled, s.cache_hits,
+          s.base_evaluations};
+}
+
 TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
   Rng rng(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
   // One shared 4-wide pool for the whole seed, as a Session provides: the
@@ -42,6 +54,11 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
   // earlier rounds stay live (distinct formula managers, overlapping
   // subformula structure), so warm hits across rounds are exercised too.
   WmcCache shared_cache;
+  // One index cache for the whole seed, too. Each round frees the previous
+  // round's database, so relation addresses get reused under it.
+  IndexCache index_cache;
+  ExecContext cached_ctx;
+  cached_ctx.set_index_cache(&index_cache);
   for (int round = 0; round < 25; ++round) {
     // A fresh random database AND a fresh random query every round.
     Database db = testing::RandomVocabularyDb(&rng);
@@ -135,6 +152,42 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
       EXPECT_EQ(lifted.status().code(), StatusCode::kUnsupported);
     }
 
+    // The lifted engine, the negated sentence and the plan bounds read
+    // rows through index probes; served from the seed-lifetime cache they
+    // must reproduce the uncached bits.
+    {
+      LiftedEngine plain(db);
+      LiftedEngine cached(db, {}, &cached_ctx);
+      auto plain_p = plain.Compute(ucq);
+      auto cached_p = cached.Compute(ucq);
+      ASSERT_EQ(cached_p.status().code(), plain_p.status().code());
+      if (plain_p.ok()) {
+        EXPECT_EQ(*cached_p, *plain_p);
+      }
+      EXPECT_EQ(StatsFields(cached.stats()), StatsFields(plain.stats()));
+
+      FoPtr negation = Fo::Not(ucq.ToFo());
+      auto plain_neg = LiftedProbabilityFo(negation, db);
+      auto cached_neg =
+          LiftedProbabilityFo(negation, db, {}, nullptr, &cached_ctx);
+      ASSERT_EQ(cached_neg.status().code(), plain_neg.status().code());
+      if (plain_neg.ok()) {
+        EXPECT_EQ(*cached_neg, *plain_neg);
+      }
+
+      for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+        if (!cq.IsSelfJoinFree()) continue;
+        auto plain_b = ComputePlanBounds(cq, db);
+        auto cached_b = ComputePlanBounds(cq, db, 7, &cached_ctx);
+        ASSERT_EQ(cached_b.status().code(), plain_b.status().code());
+        if (!plain_b.ok()) continue;
+        EXPECT_EQ(cached_b->lower, plain_b->lower);
+        EXPECT_EQ(cached_b->upper, plain_b->upper);
+        EXPECT_EQ(cached_b->num_plans, plain_b->num_plans);
+        EXPECT_EQ(cached_b->safe_value, plain_b->safe_value);
+      }
+    }
+
     // Knowledge compilation: OBDD.
     Obdd obdd(IdentityOrder(lineage->vars.size()));
     auto obdd_root = obdd.Compile(&mgr, lineage->root);
@@ -171,6 +224,8 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
       EXPECT_EQ(*reference, 0.0);
     }
   }
+  // The cached runs above really were served from the cache.
+  EXPECT_GT(index_cache.stats().hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialConsistency,

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "boolean/lineage.h"
+#include "exec/context.h"
 #include "lifted/lifted.h"
 #include "lifted/safety.h"
 #include "logic/parser.h"
+#include "storage/index_cache.h"
 #include "test_common.h"
 #include "wmc/dpll.h"
 #include "wmc/enumeration.h"
@@ -222,6 +224,53 @@ TEST(LiftedTest, UniversalQueryEqualsOneMinusNegation) {
   double p_universal = *LiftedProbabilityFo(*universal, db);
   double p_negation = *LiftedProbabilityFo(*negation, db);
   EXPECT_NEAR(p_universal, 1.0 - p_negation, 1e-12);
+}
+
+// The unate rewrite builds its complements for one query: their index
+// probes go to the engine's own cache, so repeating a sentence with a
+// negated atom cannot grow the session cache, while probes of base
+// relations still hit it.
+TEST(LiftedTest, ComplementIndexesStayOutOfTheCache) {
+  Database db = testing::BuildFigure1Database();
+  IndexCache cache;
+  ExecContext ctx;
+  ctx.set_index_cache(&cache);
+  for (const char* text : {"exists x exists y (R(x) & !S(x,y))",
+                           "exists x exists y (S(x,y) & !R(x))"}) {
+    SCOPED_TRACE(text);
+    auto q = ParseFo(text);
+    ASSERT_TRUE(q.ok());
+    auto uncached = LiftedProbabilityFo(*q, db);
+    ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      auto cached = LiftedProbabilityFo(*q, db, {}, nullptr, &ctx);
+      ASSERT_TRUE(cached.ok());
+      EXPECT_EQ(*cached, *uncached);
+    }
+  }
+  // Only the second sentence's probe of S on its first column is resident.
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_GT(cache.stats().hits, 0u);
+}
+
+// R(x), S__c(x,y) grounds x over R's three values and probes S__c on its
+// first column once per value. The index behind those probes is built once
+// per call and counted, whether or not the caller has a session cache.
+TEST(LiftedTest, EachIndexIsBuiltOncePerCall) {
+  Database db = testing::BuildFigure1Database();
+  auto q = ParseFo("exists x exists y (R(x) & !S(x,y))");
+  ASSERT_TRUE(q.ok());
+  IndexCache cache;
+  for (IndexCache* session_cache : {static_cast<IndexCache*>(nullptr),
+                                    &cache}) {
+    ExecContext ctx;
+    ctx.set_index_cache(session_cache);
+    ASSERT_TRUE(LiftedProbabilityFo(*q, db, {}, nullptr, &ctx).ok());
+    ExecReport report = ctx.Report();
+    EXPECT_EQ(report.index_builds, 1u);
+    EXPECT_EQ(report.index_cache_hits, 2u);
+  }
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -260,42 +260,29 @@ TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-// Columnar images and columnar code indexes are cached under their own
-// flavors: hit on re-request, and the image is reattached to the
-// relation's own sidecar after a Clear (not rebuilt from scratch).
-TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
-  Rng rng(6);
-  Database db = RandomVocabularyDb(&rng);
-  const Relation* s = db.Get("S").value();
+// Entries are keyed by the columnar image they were built from, so a
+// relation freed and re-created at a recycled address never meets its
+// predecessor's index. The row count changes every round, so a stale index
+// shows in its bucket count before any lookup.
+TEST(IndexCacheTest, RecycledRelationAddressGetsAFreshIndex) {
   IndexCache cache;
-  bool built = false;
-  auto img = cache.GetOrBuildColumnar(*s, &built);
-  EXPECT_TRUE(built);
-  auto img_again = cache.GetOrBuildColumnar(*s, &built);
-  EXPECT_FALSE(built);
-  EXPECT_EQ(img.get(), img_again.get());
-  auto idx = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
-  EXPECT_TRUE(built);
-  auto idx_again = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
-  EXPECT_FALSE(built);
-  EXPECT_EQ(idx.get(), idx_again.get());
-  IndexCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.builds, 2u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.entries, 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  auto img_fresh = cache.GetOrBuildColumnar(*s, &built);
-  EXPECT_TRUE(built);  // a fresh cache entry...
-  EXPECT_EQ(img_fresh.get(), img.get());  // ...over the same shared image
-  // The returned index answers lookups correctly.
-  const ColumnarRelation& cols = *img;
-  for (size_t row = 0; row < s->size(); ++row) {
-    uint32_t code = cols.codes(0)[row];
-    const uint32_t* rows = nullptr;
-    size_t count = 0;
-    idx->Lookup(&code, &rows, &count);
-    EXPECT_TRUE(std::find(rows, rows + count, row) != rows + count);
+  for (int64_t round = 0; round < 200; ++round) {
+    auto rel = std::make_unique<Relation>("R", Schema::Anonymous(2));
+    const int64_t rows = 1 + round % 7;
+    for (int64_t i = 0; i < rows; ++i) {
+      ASSERT_TRUE(rel->AddTuple({Value(round + i), Value(i)}, 0.5).ok());
+    }
+    auto index = cache.GetOrBuildColumnarIndex(*rel, {0});
+    auto image = rel->columnar();
+    ASSERT_EQ(index->num_buckets(), image->distinct(0)) << "round " << round;
+    for (size_t row = 0; row < rel->size(); ++row) {
+      uint32_t code = image->codes(0)[row];
+      const uint32_t* bucket = nullptr;
+      size_t count = 0;
+      index->Lookup(&code, &bucket, &count);
+      ASSERT_EQ(count, 1u);
+      EXPECT_EQ(bucket[0], row);
+    }
   }
 }
 
@@ -320,7 +307,7 @@ TEST(IndexCacheTest, ConcurrentClientsAndClears) {
                                  : std::vector<size_t>{1};
         // The shared_ptrs keep the image and index alive across
         // concurrent clears.
-        auto image = cache.GetOrBuildColumnar(*rel);
+        auto image = rel->columnar();
         auto index = cache.GetOrBuildColumnarIndex(*rel, cols);
         size_t row = local.Uniform(rel->size());
         uint32_t code = image->codes(cols[0])[row];

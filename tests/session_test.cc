@@ -47,6 +47,8 @@ Database HardDatabase(size_t n) {
 
 const char* kUnsafeQuery = "R(x), S(x,y), T(y)";
 const char* kSafeQuery = "R(x), S(x,y)";
+/// Safe with a bound constant: the lifted engine probes an index on S.
+const char* kBoundSafeQuery = "S(2,y), T(y)";
 
 TEST(SessionTest, MatchesPerQueryPathBitForBit) {
   ProbDatabase pdb(HardDatabase(4));
@@ -312,11 +314,14 @@ TEST(SessionStressTest, EightClientsShareOneSession) {
   auto expect_safe = pdb.Query(kSafeQuery, exact);
   auto expect_hard = pdb.Query(kUnsafeQuery, exact);
   auto expect_mc = pdb.Query(kUnsafeQuery, sampled);
+  auto expect_bound = pdb.Query(kBoundSafeQuery, exact);
   ASSERT_TRUE(expect_safe.ok());
   ASSERT_TRUE(expect_hard.ok());
   ASSERT_TRUE(expect_mc.ok());
+  ASSERT_TRUE(expect_bound.ok());
   ASSERT_EQ(expect_safe->method, InferenceMethod::kLifted);
   ASSERT_EQ(expect_mc->method, InferenceMethod::kMonteCarlo);
+  ASSERT_EQ(expect_bound->method, InferenceMethod::kLifted);
 
   // Result cache off so every client query really executes (maximal
   // contention). The shared WMC cache is off too: it would let the
@@ -334,7 +339,7 @@ TEST(SessionStressTest, EightClientsShareOneSession) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int q = 0; q < kQueriesPerClient; ++q) {
-        int kind = (c + q) % 3;
+        int kind = (c + q) % 4;
         auto check = [&](const QueryAnswer& expected, const char* text,
                          const QueryOptions& options,
                          bool expect_samples) {
@@ -357,8 +362,11 @@ TEST(SessionStressTest, EightClientsShareOneSession) {
           check(*expect_safe, kSafeQuery, exact, /*expect_samples=*/false);
         } else if (kind == 1) {
           check(*expect_hard, kUnsafeQuery, exact, /*expect_samples=*/false);
-        } else {
+        } else if (kind == 2) {
           check(*expect_mc, kUnsafeQuery, sampled, /*expect_samples=*/true);
+        } else {
+          check(*expect_bound, kBoundSafeQuery, exact,
+                /*expect_samples=*/false);
         }
       }
     });
@@ -369,12 +377,12 @@ TEST(SessionStressTest, EightClientsShareOneSession) {
   EXPECT_EQ(session.queries_served(),
             static_cast<uint64_t>(kClients * kQueriesPerClient));
   ExecReport total = session.CumulativeReport();
-  // 16 of the 48 client queries took the Monte Carlo path; all of their
+  // 12 of the 48 client queries took the Monte Carlo path; all of their
   // samples (and only theirs) aggregate into the session report.
   uint64_t mc_queries = 0;
   for (int c = 0; c < kClients; ++c) {
     for (int q = 0; q < kQueriesPerClient; ++q) {
-      if ((c + q) % 3 == 2) ++mc_queries;
+      if ((c + q) % 4 == 2) ++mc_queries;
     }
   }
   EXPECT_EQ(total.samples_drawn,

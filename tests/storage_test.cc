@@ -127,11 +127,11 @@ TEST(RelationTest, DistinctValuesSorted) {
   ASSERT_TRUE(rel.AddTuple({Value(2), Value(7)}, 1).ok());
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(7)}, 1).ok());
   ASSERT_TRUE(rel.AddTuple({Value(2), Value(8)}, 1).ok());
-  std::vector<Value> xs = rel.DistinctValues(0);
+  const std::vector<Value>& xs = rel.columnar()->dict(0);
   ASSERT_EQ(xs.size(), 2u);
   EXPECT_EQ(xs[0].AsInt(), 1);
   EXPECT_EQ(xs[1].AsInt(), 2);
-  EXPECT_EQ(rel.DistinctValues(1).size(), 2u);
+  EXPECT_EQ(rel.columnar()->dict(1).size(), 2u);
 }
 
 TEST(RelationTest, IsDeterministic) {
@@ -196,8 +196,8 @@ TEST(ColumnarRelationTest, DictionaryRoundTripsEveryValueType) {
 }
 
 // The sidecar is built once per relation state: repeated columnar() calls
-// share one image, DistinctValues serves straight from its dictionary,
-// and a mutation invalidates it so the next build sees the new row.
+// share one image, its dictionary is the sorted distinct-value list, and a
+// mutation invalidates it so the next build sees the new row.
 TEST(ColumnarRelationTest, SidecarCachedOnRelationAndInvalidated) {
   Relation rel("S", Schema::Anonymous(2));
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(10)}, 1).ok());
@@ -206,7 +206,7 @@ TEST(ColumnarRelationTest, SidecarCachedOnRelationAndInvalidated) {
   auto a = rel.columnar();
   auto b = rel.columnar();
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(rel.DistinctValues(1), a->dict(1));
+  EXPECT_EQ(a->dict(1), (std::vector<Value>{Value(10)}));
   ASSERT_TRUE(rel.AddTuple({Value(3), Value(11)}, 1).ok());
   EXPECT_EQ(rel.columnar_if_built(), nullptr);
   auto c = rel.columnar();

@@ -301,5 +301,15 @@ TEST(StringUtilTest, SplitJoinTrim) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "ok"), "7-ok");
 }
 
+TEST(StringUtilTest, JsonEscape) {
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(JsonEscape("\n"), "\\u000a");
+  // Bytes from 0x80 up (a UTF-8 "é" and a lone 0xff) pass through.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \xff"), "caf\xc3\xa9 \xff");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
 }  // namespace
 }  // namespace pdb
