@@ -324,7 +324,7 @@ struct CompiledJoin {
 // distinct-value count of the bound columns (constants plus variables
 // bound by already-ordered atoms). With two or more bound columns the
 // divisor is the *composite* distinct count (DistinctComposite over the
-// columnar image — the same statistic ColumnarIndex's buckets expose), so
+// columnar image: the key combinations that actually occur), so
 // correlated key pairs are not overestimated the way the classic
 // independence product would; a composite that overflows 64 bits falls
 // back to the per-column product. Distinct counts come from the columnar
@@ -513,10 +513,12 @@ JoinPlanProfile ProfileOf(const CompiledJoin& plan) {
 //
 // Execution touches dictionary codes only: slots carry `uint32_t` codes,
 // key probes translate codes between column dictionaries through
-// precomputed xlat arrays and hit a `ColumnarIndex` (CSR for single-column
-// keys — no hashing at all), and repeated-variable checks are evaluated
-// once per relation as a batch filter over the code arrays instead of per
-// visit. Every step emits candidate rows in ascending row order.
+// precomputed xlat arrays and read the bucket of a one-column
+// `ColumnarIndex` (a CSR, no hashing at all) on the key's `ProbedKeyPart`
+// column, checking the other key columns' codes per bucket row, and
+// repeated-variable checks are evaluated once per relation as a batch
+// filter over the code arrays instead of per visit. Every step emits
+// candidate rows in ascending row order.
 class JoinExecutor {
  public:
   JoinExecutor(const CompiledJoin& plan, ExecContext* exec)
@@ -572,6 +574,7 @@ class JoinExecutor {
     int32_t slot = -1;        // < 0: use const_code
     uint32_t const_code = 0;  // code of the constant in the key column
     std::vector<uint32_t> xlat;
+    const uint32_t* codes = nullptr;  // the key column's per-row codes
   };
 
   // One bind: write the column's code array entry into the slot.
@@ -585,6 +588,8 @@ class JoinExecutor {
     std::shared_ptr<const ColumnarRelation> cols;
     std::shared_ptr<const ColumnarIndex> index;  // keyed steps only
     std::vector<ColumnarPart> parts;             // aligned with key_parts
+    size_t probe = 0;       // the part whose column `index` covers
+    size_t key_offset = 0;  // start of this step's key codes in `key_`
     std::vector<ColumnarBind> binds;
     // Repeated-variable checks, evaluated once per execution as a batch
     // filter over the code arrays: keyed steps keep a row mask consulted
@@ -606,19 +611,23 @@ class JoinExecutor {
     for (size_t s = 0; s < plan_.steps.size(); ++s) {
       csteps_[s].cols = plan_.steps[s].rel->columnar();
     }
-    size_t max_key = 0;
+    size_t key_size = 0;
     for (size_t s = 0; s < plan_.steps.size(); ++s) {
       const JoinStep& step = plan_.steps[s];
       ColumnarStep& cs = csteps_[s];
       const ColumnarRelation& cols = *cs.cols;
       if (!step.key_cols.empty()) {
-        cs.index = ColumnarIndexFor(*step.rel, step.key_cols, cache, exec_);
-        max_key = std::max(max_key, step.key_parts.size());
+        cs.probe = ProbedKeyPart(cols, step.key_cols);
+        cs.index =
+            ColumnarIndexFor(cs.cols, step.key_cols[cs.probe], cache, exec_);
+        cs.key_offset = key_size;
+        key_size += step.key_parts.size();
         cs.parts.resize(step.key_parts.size());
         for (size_t p = 0; p < step.key_parts.size(); ++p) {
           const JoinKeyPart& part = step.key_parts[p];
           ColumnarPart& cp = cs.parts[p];
           cp.slot = part.slot;
+          cp.codes = cols.codes(step.key_cols[p]).data();
           if (part.slot < 0) {
             cp.const_code = cols.CodeOf(step.key_cols[p], part.constant);
             if (cp.const_code == ColumnarRelation::kNoCode) {
@@ -660,13 +669,24 @@ class JoinExecutor {
         }
       }
     }
-    key_.assign(max_key, 0);
+    key_.assign(key_size, 0);
   }
 
-  // Batch-filter mask (keyed steps), then binds. Keyless steps with checks
-  // never reach the mask test: their candidate list is pre-filtered.
-  bool EnterRow(const ColumnarStep& cs, const JoinStep& step, size_t row) {
-    if (!cs.pass.empty() && cs.pass[row] == 0) return false;
+  // Whether bucket row `row` carries the key codes `key` in every part
+  // but the probed one, and passes the batch-filter mask.
+  static bool RowMatches(const ColumnarStep& cs, const uint32_t* key,
+                         uint32_t row) {
+    for (size_t p = 0; p < cs.parts.size(); ++p) {
+      if (p != cs.probe && cs.parts[p].codes[row] != key[p]) return false;
+    }
+    return cs.pass.empty() || cs.pass[row] != 0;
+  }
+
+  // Key checks and batch-filter mask (keyed steps), then binds. Keyless
+  // steps with checks always pass: their candidate list is pre-filtered.
+  bool EnterRow(const ColumnarStep& cs, const JoinStep& step,
+                const uint32_t* key, uint32_t row) {
+    if (!RowMatches(cs, key, row)) return false;
     for (const ColumnarBind& bind : cs.binds) {
       slots_[bind.slot] = bind.codes[row];
     }
@@ -677,13 +697,16 @@ class JoinExecutor {
   void RunFrom(size_t s) {
     const JoinStep& step = plan_.steps[s];
     const ColumnarStep& cs = csteps_[s];
-    // Candidate rows of this step, as a dense uint32 span: an index bucket
-    // when keyed, the pre-filtered row list or the whole relation
-    // otherwise. null base = identity rows [0, count). The key buffer is
-    // consumed by the probe, so deeper steps may reuse it.
+    // Candidate rows of this step, as a dense uint32 span: the probed
+    // column's index bucket when keyed, the pre-filtered row list or the
+    // whole relation otherwise. null base = identity rows [0, count). The
+    // step's key codes live in its own slice of `key_`: deeper steps run
+    // before the rest of the bucket is checked against them.
     const uint32_t* base = nullptr;
     size_t count = 0;
+    uint32_t* key = nullptr;
     if (!step.key_cols.empty()) {
+      key = &key_[cs.key_offset];
       for (size_t p = 0; p < cs.parts.size(); ++p) {
         const ColumnarPart& part = cs.parts[p];
         uint32_t c = part.slot < 0 ? part.const_code
@@ -691,9 +714,9 @@ class JoinExecutor {
         // The slot's value is absent from this key column's dictionary:
         // no row of this relation can match the current binding.
         if (c == ColumnarRelation::kNoCode) return;
-        key_[p] = c;
+        key[p] = c;
       }
-      cs.index->Lookup(key_.data(), &base, &count);
+      cs.index->Lookup(key[cs.probe], &base, &count);
     } else if (cs.use_filtered) {
       base = cs.filtered.data();
       count = cs.filtered.size();
@@ -706,7 +729,7 @@ class JoinExecutor {
       uint32_t* slot_row = &rows_[step.atom_index];
       for (size_t i = 0; i < count; ++i) {
         uint32_t row = base != nullptr ? base[i] : static_cast<uint32_t>(i);
-        if (!cs.pass.empty() && cs.pass[row] == 0) continue;
+        if (!RowMatches(cs, key, row)) continue;
         *slot_row = row;
         ++step_rows_[s];
         buf_.insert(buf_.end(), rows_.begin(), rows_.end());
@@ -715,7 +738,7 @@ class JoinExecutor {
     }
     for (size_t i = 0; i < count; ++i) {
       uint32_t row = base != nullptr ? base[i] : static_cast<uint32_t>(i);
-      if (EnterRow(cs, step, row)) {
+      if (EnterRow(cs, step, key, row)) {
         ++step_rows_[s];
         RunFrom(s + 1);
       }
@@ -768,7 +791,7 @@ class JoinExecutor {
   std::vector<ColumnarStep> csteps_;
   std::vector<uint32_t> slots_;      // dictionary code per slot
   std::vector<uint32_t> rows_;       // current row per original atom index
-  std::vector<uint32_t> key_;        // probe key codes, one per key part
+  std::vector<uint32_t> key_;        // key codes, one slice per keyed step
   std::vector<uint64_t> step_rows_;  // per-step entered rows
   std::vector<uint32_t> buf_;  // k_ row ids per match, enumeration order
   std::vector<size_t> perm_;   // canonical -> physical; empty = identity

@@ -137,11 +137,6 @@ Session::Session(const ProbDatabase* db, SessionOptions options)
       wmc_cache_ = std::make_shared<WmcCache>(cache_options);
     }
   }
-  if (options_.cache_indexes) {
-    IndexCacheOptions index_options;
-    index_options.num_shards = options_.index_cache_shards;
-    index_cache_ = std::make_unique<IndexCache>(index_options);
-  }
   // Resolve every engine ticker once; updates are then lock-free.
   for (size_t i = 0; i < kNumExecCounters; ++i) {
     tickers_.exec[i] = metrics_.GetCounter(kExecCounters[i].metric);
@@ -223,7 +218,7 @@ void Session::InvalidateCache() {
   // value-correct (self-validating keys), other sessions share it, and it
   // may hold warm-restart entries reloaded from the component store.
   if (wmc_cache_ && !options_.external_wmc_cache) wmc_cache_->Clear();
-  if (index_cache_) index_cache_->Clear();
+  index_cache_.Clear();
 }
 
 void Session::RefreshGenerationLocked(uint64_t current_generation) {
@@ -240,7 +235,7 @@ void Session::RefreshGenerationLocked(uint64_t current_generation) {
   // it, and the fingerprinted keys make stale entries harmless.
   if (wmc_cache_ && !options_.external_wmc_cache) wmc_cache_->Clear();
   // Index entries reference rows of the previous database state.
-  if (index_cache_) index_cache_->Clear();
+  index_cache_.Clear();
   generation_seen_ = current_generation;
 }
 
@@ -287,7 +282,7 @@ WmcCacheStats Session::wmc_cache_stats() const {
 }
 
 IndexCacheStats Session::index_cache_stats() const {
-  return index_cache_ ? index_cache_->stats() : IndexCacheStats{};
+  return index_cache_.stats();
 }
 
 ExecReport Session::CumulativeReport() const {
@@ -325,10 +320,8 @@ MetricsSnapshot Session::SnapshotMetrics() const {
     tickers_.wmc_shared_bytes->Set(static_cast<int64_t>(stats.bytes));
     tickers_.wmc_shared_entries->Set(static_cast<int64_t>(stats.entries));
   }
-  if (index_cache_) {
-    tickers_.index_cache_entries->Set(
-        static_cast<int64_t>(index_cache_->stats().entries));
-  }
+  tickers_.index_cache_entries->Set(
+      static_cast<int64_t>(index_cache_.stats().entries));
   {
     std::lock_guard<std::mutex> lock(mu_);
     tickers_.result_cache_entries->Set(
@@ -721,7 +714,7 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
   // The safety check and the join plan probe the session's cached indexes,
   // so the plan's estimates use the same dictionaries execution would.
   ExecContext plan_ctx;
-  plan_ctx.set_index_cache(index_cache_.get());
+  plan_ctx.set_index_cache(&index_cache_);
 
   // Safety check = the lifted compiler itself: it either produces a
   // polynomial extensional plan (and, being polynomial, cheaply evaluates

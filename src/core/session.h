@@ -107,15 +107,6 @@ struct SessionOptions {
   /// first). Only traced queries (`QueryOptions::trace` or a caller's
   /// trace) enter the ring.
   size_t trace_ring_size = 32;
-  /// Share one index cache (storage/index_cache.h) across every grounding,
-  /// lifted computation and plan bound issued through the session, so
-  /// repeated queries (and the per-tuple fan-out of QueryWithAnswers)
-  /// reuse columnar code indexes instead of rebuilding them per probe.
-  /// Invalidated with the result cache when the database generation moves
-  /// (the relations themselves re-encode their columnar images lazily).
-  bool cache_indexes = true;
-  /// Shard (mutex stripe) count of the shared index cache.
-  size_t index_cache_shards = 8;
 };
 
 /// A long-lived, thread-safe query session over one `ProbDatabase`.
@@ -218,10 +209,14 @@ class Session {
   /// Aggregated counters of the shared WMC cache (zeros when disabled).
   WmcCacheStats wmc_cache_stats() const;
 
-  /// The session's shared index cache, or null when
-  /// `SessionOptions::cache_indexes` is off.
-  IndexCache* index_cache() { return index_cache_.get(); }
-  /// Aggregated counters of the shared index cache (zeros when disabled).
+  /// The session's index cache (storage/index_cache.h), shared by every
+  /// grounding, lifted computation and plan bound issued through the
+  /// session, so repeated queries (and the per-tuple fan-out of
+  /// QueryWithAnswers) reuse columnar indexes instead of rebuilding them
+  /// per probe. Cleared with the result cache when the database generation
+  /// moves.
+  IndexCache* index_cache() { return &index_cache_; }
+  /// Aggregated counters of the session's index cache.
   IndexCacheStats index_cache_stats() const;
 
   /// Aggregate of every per-query report (tasks, samples, DPLL cache hits,
@@ -350,7 +345,7 @@ class Session {
   /// `SessionOptions::external_wmc_cache` was supplied, private otherwise.
   std::shared_ptr<WmcCache> wmc_cache_;
   /// Internally sharded and thread-safe; not guarded by mu_.
-  std::unique_ptr<IndexCache> index_cache_;
+  IndexCache index_cache_;
   /// Thread-safe (atomics inside; its own mutex for creation).
   MetricsRegistry metrics_;
   Tickers tickers_;

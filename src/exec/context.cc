@@ -30,10 +30,16 @@ void ExecContext::SetDeadline(uint64_t ms) {
     ClearDeadline();
     return;
   }
-  Clock::time_point expiry = Clock::now() + std::chrono::milliseconds(ms);
-  deadline_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         expiry.time_since_epoch())
-                         .count(),
+  constexpr int64_t kNsPerMs = 1'000'000;
+  int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now().time_since_epoch())
+                    .count();
+  // An expiry past what the clock can represent never comes: arm nothing.
+  if (ms > static_cast<uint64_t>((INT64_MAX - now) / kNsPerMs)) {
+    ClearDeadline();
+    return;
+  }
+  deadline_ns_.store(now + static_cast<int64_t>(ms) * kNsPerMs,
                      std::memory_order_relaxed);
   deadline_hit_.store(false, std::memory_order_relaxed);
 }

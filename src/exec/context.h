@@ -186,7 +186,8 @@ class ExecContext {
   JoinProfile* join_profile() const { return join_profile_; }
   void set_join_profile(JoinProfile* profile) { join_profile_ = profile; }
 
-  /// Arms the deadline `ms` milliseconds from now. `ms` == 0 disarms.
+  /// Arms the deadline `ms` milliseconds from now. `ms` == 0 disarms, and
+  /// so does an `ms` whose expiry the clock's nanosecond count cannot hold.
   void SetDeadline(uint64_t ms);
 
   /// Disarms the deadline and resets the expiry latch so later work can

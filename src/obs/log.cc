@@ -1,9 +1,8 @@
 #include "obs/log.h"
 
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 
+#include "obs/json_cursor.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -139,188 +138,41 @@ std::string SlowQueryEntryToJson(const SlowQueryEntry& entry) {
       entry.explain_json.empty() ? "null" : entry.explain_json.c_str());
 }
 
-namespace {
-
-/// Strict reader for exactly the shape SlowQueryEntryToJson emits, in the
-/// same style as the trace reader: fixed key order, uint64 numbers, the
-/// escapes our writer can produce. The embedded "trace"/"explain" values
-/// are captured as balanced-brace raw substrings (strings and escapes
-/// respected) so they survive a round trip byte-identically.
-class SlowQueryJsonReader {
- public:
-  explicit SlowQueryJsonReader(const std::string& text) : text_(text) {}
-
-  Result<SlowQueryEntry> Read() {
-    SlowQueryEntry entry;
-    PDB_RETURN_NOT_OK(Expect('{'));
-    PDB_RETURN_NOT_OK(Key("ts_us"));
-    PDB_RETURN_NOT_OK(ReadUint(&entry.ts_us));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("latency_us"));
-    PDB_RETURN_NOT_OK(ReadUint(&entry.latency_us));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("client"));
-    PDB_RETURN_NOT_OK(ReadString(&entry.client));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("method"));
-    PDB_RETURN_NOT_OK(ReadString(&entry.method));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("statement"));
-    PDB_RETURN_NOT_OK(ReadString(&entry.statement));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("trace"));
-    PDB_RETURN_NOT_OK(ReadObjectOrNull(&entry.trace_json));
-    if (!entry.trace_json.empty()) {
-      // The trace payload must itself be a valid trace document.
-      auto parsed = TraceFromJson(entry.trace_json);
-      if (!parsed.ok()) return parsed.status();
-    }
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("explain"));
-    PDB_RETURN_NOT_OK(ReadObjectOrNull(&entry.explain_json));
-    PDB_RETURN_NOT_OK(Expect('}'));
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing bytes after slowlog JSON");
-    }
-    return entry;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::InvalidArgument(
-          StrFormat("slowlog JSON: expected '%c' at offset %zu", c, pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  Status Key(const char* name) {
-    std::string got;
-    PDB_RETURN_NOT_OK(ReadString(&got));
-    if (got != name) {
-      return Status::InvalidArgument(
-          StrFormat("slowlog JSON: expected key \"%s\", got \"%s\"", name,
-                    got.c_str()));
-    }
-    return Expect(':');
-  }
-
-  Status ReadString(std::string* out) {
-    PDB_RETURN_NOT_OK(Expect('"'));
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      if (esc == '"' || esc == '\\') {
-        out->push_back(esc);
-      } else if (esc == 'u') {
-        if (pos_ + 4 > text_.size()) {
-          return Status::InvalidArgument("slowlog JSON: truncated \\u escape");
-        }
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          char h = text_[pos_++];
-          unsigned digit;
-          if (h >= '0' && h <= '9') {
-            digit = static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            digit = static_cast<unsigned>(h - 'a') + 10;
-          } else if (h >= 'A' && h <= 'F') {
-            digit = static_cast<unsigned>(h - 'A') + 10;
-          } else {
-            return Status::InvalidArgument("slowlog JSON: bad \\u escape");
-          }
-          code = code * 16 + digit;
-        }
-        out->push_back(static_cast<char>(code));
-      } else {
-        return Status::InvalidArgument("slowlog JSON: unsupported escape");
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("slowlog JSON: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return Status::OK();
-  }
-
-  Status ReadUint(uint64_t* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::InvalidArgument(
-          StrFormat("slowlog JSON: expected integer at offset %zu", start));
-    }
-    *out = std::strtoull(text_.substr(start, pos_ - start).c_str(), nullptr,
-                         10);
-    return Status::OK();
-  }
-
-  /// Captures a balanced `{...}` object verbatim into `*out`, or consumes
-  /// the literal `null` leaving `*out` empty.
-  Status ReadObjectOrNull(std::string* out) {
-    SkipSpace();
-    out->clear();
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (pos_ >= text_.size() || text_[pos_] != '{') {
-      return Status::InvalidArgument(StrFormat(
-          "slowlog JSON: expected object or null at offset %zu", pos_));
-    }
-    size_t start = pos_;
-    size_t depth = 0;
-    bool in_string = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (in_string) {
-        if (c == '\\') {
-          if (pos_ >= text_.size()) break;
-          ++pos_;  // the escaped byte, whatever it is
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          *out = text_.substr(start, pos_ - start);
-          return Status::OK();
-        }
-      }
-    }
-    return Status::InvalidArgument("slowlog JSON: unterminated object");
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
+// Reads exactly the shape SlowQueryEntryToJson emits (obs/json_cursor.h).
+// The embedded "trace"/"explain" values are captured as raw substrings, so
+// they survive a round trip byte-identically.
 Result<SlowQueryEntry> SlowQueryEntryFromJson(const std::string& json) {
-  return SlowQueryJsonReader(json).Read();
+  JsonCursor in(json, "slowlog JSON");
+  SlowQueryEntry entry;
+  PDB_RETURN_NOT_OK(in.Expect('{'));
+  PDB_RETURN_NOT_OK(in.Key("ts_us"));
+  PDB_RETURN_NOT_OK(in.ReadUint(&entry.ts_us));
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("latency_us"));
+  PDB_RETURN_NOT_OK(in.ReadUint(&entry.latency_us));
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("client"));
+  PDB_RETURN_NOT_OK(in.ReadString(&entry.client));
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("method"));
+  PDB_RETURN_NOT_OK(in.ReadString(&entry.method));
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("statement"));
+  PDB_RETURN_NOT_OK(in.ReadString(&entry.statement));
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("trace"));
+  PDB_RETURN_NOT_OK(in.ReadObjectOrNull(&entry.trace_json));
+  if (!entry.trace_json.empty()) {
+    // The trace payload must itself be a valid trace document.
+    auto parsed = TraceFromJson(entry.trace_json);
+    if (!parsed.ok()) return parsed.status();
+  }
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("explain"));
+  PDB_RETURN_NOT_OK(in.ReadObjectOrNull(&entry.explain_json));
+  PDB_RETURN_NOT_OK(in.Expect('}'));
+  PDB_RETURN_NOT_OK(in.ExpectEnd());
+  return entry;
 }
 
 bool SlowQueryLog::MaybeRecord(SlowQueryEntry entry) {

@@ -1,9 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
+#include "obs/json_cursor.h"
 #include "util/string_util.h"
 
 namespace pdb {
@@ -221,179 +220,63 @@ std::string TraceToJson(const QueryTrace& trace) {
 
 namespace {
 
-/// Minimal recursive-descent reader for exactly the object shape ToJson
-/// emits (string/uint64 scalars, arrays of objects). Not a general JSON
-/// parser: numbers are unsigned integers, strings support the escapes
-/// ToJson can produce.
-class TraceJsonReader {
- public:
-  explicit TraceJsonReader(const std::string& text) : text_(text) {}
-
-  Result<TraceData> Read() {
-    TraceData data;
-    PDB_RETURN_NOT_OK(Expect('{'));
-    PDB_RETURN_NOT_OK(Key("total_ns"));
-    PDB_RETURN_NOT_OK(ReadUint(&data.total_ns));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("spans"));
-    PDB_RETURN_NOT_OK(Expect('['));
-    if (!TryConsume(']')) {
-      do {
-        QueryTrace::Span span;
-        PDB_RETURN_NOT_OK(ReadSpan(&span));
-        data.spans.push_back(std::move(span));
-      } while (TryConsume(','));
-      PDB_RETURN_NOT_OK(Expect(']'));
-    }
-    PDB_RETURN_NOT_OK(Expect('}'));
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing bytes after trace JSON");
-    }
-    return data;
+Status ReadSpan(JsonCursor* in, QueryTrace::Span* span) {
+  PDB_RETURN_NOT_OK(in->Expect('{'));
+  PDB_RETURN_NOT_OK(in->Key("phase"));
+  std::string phase;
+  PDB_RETURN_NOT_OK(in->ReadString(&phase));
+  if (!TracePhaseFromName(phase, &span->phase)) {
+    return Status::InvalidArgument("unknown trace phase '" + phase + "'");
   }
-
- private:
-  Status ReadSpan(QueryTrace::Span* span) {
-    PDB_RETURN_NOT_OK(Expect('{'));
-    PDB_RETURN_NOT_OK(Key("phase"));
-    std::string phase;
-    PDB_RETURN_NOT_OK(ReadString(&phase));
-    if (!TracePhaseFromName(phase, &span->phase)) {
-      return Status::InvalidArgument("unknown trace phase '" + phase + "'");
-    }
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("start_ns"));
-    PDB_RETURN_NOT_OK(ReadUint(&span->start_ns));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("duration_ns"));
-    PDB_RETURN_NOT_OK(ReadUint(&span->duration_ns));
-    PDB_RETURN_NOT_OK(Expect(','));
-    PDB_RETURN_NOT_OK(Key("counters"));
-    PDB_RETURN_NOT_OK(Expect('['));
-    if (!TryConsume(']')) {
-      do {
-        QueryTrace::SpanCounter counter;
-        PDB_RETURN_NOT_OK(Expect('{'));
-        PDB_RETURN_NOT_OK(Key("name"));
-        PDB_RETURN_NOT_OK(ReadString(&counter.name));
-        PDB_RETURN_NOT_OK(Expect(','));
-        PDB_RETURN_NOT_OK(Key("value"));
-        PDB_RETURN_NOT_OK(ReadUint(&counter.value));
-        PDB_RETURN_NOT_OK(Expect('}'));
-        span->counters.push_back(std::move(counter));
-      } while (TryConsume(','));
-      PDB_RETURN_NOT_OK(Expect(']'));
-    }
-    return Expect('}');
+  PDB_RETURN_NOT_OK(in->Expect(','));
+  PDB_RETURN_NOT_OK(in->Key("start_ns"));
+  PDB_RETURN_NOT_OK(in->ReadUint(&span->start_ns));
+  PDB_RETURN_NOT_OK(in->Expect(','));
+  PDB_RETURN_NOT_OK(in->Key("duration_ns"));
+  PDB_RETURN_NOT_OK(in->ReadUint(&span->duration_ns));
+  PDB_RETURN_NOT_OK(in->Expect(','));
+  PDB_RETURN_NOT_OK(in->Key("counters"));
+  PDB_RETURN_NOT_OK(in->Expect('['));
+  if (!in->TryConsume(']')) {
+    do {
+      QueryTrace::SpanCounter counter;
+      PDB_RETURN_NOT_OK(in->Expect('{'));
+      PDB_RETURN_NOT_OK(in->Key("name"));
+      PDB_RETURN_NOT_OK(in->ReadString(&counter.name));
+      PDB_RETURN_NOT_OK(in->Expect(','));
+      PDB_RETURN_NOT_OK(in->Key("value"));
+      PDB_RETURN_NOT_OK(in->ReadUint(&counter.value));
+      PDB_RETURN_NOT_OK(in->Expect('}'));
+      span->counters.push_back(std::move(counter));
+    } while (in->TryConsume(','));
+    PDB_RETURN_NOT_OK(in->Expect(']'));
   }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::InvalidArgument(
-          StrFormat("trace JSON: expected '%c' at offset %zu", c, pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  bool TryConsume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  /// Consumes `"name":`.
-  Status Key(const char* name) {
-    std::string got;
-    PDB_RETURN_NOT_OK(ReadString(&got));
-    if (got != name) {
-      return Status::InvalidArgument(
-          StrFormat("trace JSON: expected key \"%s\", got \"%s\"", name,
-                    got.c_str()));
-    }
-    return Expect(':');
-  }
-
-  Status ReadString(std::string* out) {
-    PDB_RETURN_NOT_OK(Expect('"'));
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      if (esc == '"' || esc == '\\') {
-        out->push_back(esc);
-      } else if (esc == 'u') {
-        if (pos_ + 4 > text_.size()) {
-          return Status::InvalidArgument("trace JSON: truncated \\u escape");
-        }
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          char h = text_[pos_++];
-          unsigned digit;
-          if (h >= '0' && h <= '9') {
-            digit = static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            digit = static_cast<unsigned>(h - 'a') + 10;
-          } else if (h >= 'A' && h <= 'F') {
-            digit = static_cast<unsigned>(h - 'A') + 10;
-          } else {
-            return Status::InvalidArgument("trace JSON: bad \\u escape");
-          }
-          code = code * 16 + digit;
-        }
-        // ToJson only emits \u for control bytes.
-        out->push_back(static_cast<char>(code));
-      } else {
-        return Status::InvalidArgument("trace JSON: unsupported escape");
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("trace JSON: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return Status::OK();
-  }
-
-  Status ReadUint(uint64_t* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::InvalidArgument(
-          StrFormat("trace JSON: expected integer at offset %zu", start));
-    }
-    *out = std::strtoull(text_.substr(start, pos_ - start).c_str(), nullptr,
-                         10);
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+  return in->Expect('}');
+}
 
 }  // namespace
 
+// Reads exactly the object shape ToJson emits (obs/json_cursor.h).
 Result<TraceData> TraceFromJson(const std::string& json) {
-  return TraceJsonReader(json).Read();
+  JsonCursor in(json, "trace JSON");
+  TraceData data;
+  PDB_RETURN_NOT_OK(in.Expect('{'));
+  PDB_RETURN_NOT_OK(in.Key("total_ns"));
+  PDB_RETURN_NOT_OK(in.ReadUint(&data.total_ns));
+  PDB_RETURN_NOT_OK(in.Expect(','));
+  PDB_RETURN_NOT_OK(in.Key("spans"));
+  PDB_RETURN_NOT_OK(in.Expect('['));
+  if (!in.TryConsume(']')) {
+    do {
+      QueryTrace::Span span;
+      PDB_RETURN_NOT_OK(ReadSpan(&in, &span));
+      data.spans.push_back(std::move(span));
+    } while (in.TryConsume(','));
+    PDB_RETURN_NOT_OK(in.Expect(']'));
+  }
+  PDB_RETURN_NOT_OK(in.Expect('}'));
+  PDB_RETURN_NOT_OK(in.ExpectEnd());
+  return data;
 }
 
 }  // namespace pdb

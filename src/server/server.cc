@@ -29,6 +29,7 @@ namespace pdb {
 
 namespace {
 
+constexpr int kAcceptBacklog = 64;
 constexpr int kRecvTimeoutMs = 200;
 constexpr size_t kRecvBufferBytes = 8192;
 /// Rows per WriteBatch on the /ingest path: large enough that WAL framing
@@ -239,7 +240,6 @@ PdbServer::PdbServer(const ProbDatabase* db, ServerOptions options)
   if (options_.slow_query_ms > 0) {
     SlowQueryLog::Options slow_options;
     slow_options.threshold_us = options_.slow_query_ms * 1000;
-    slow_options.ring_size = options_.slow_query_ring;
     slow_options.sink = event_log_.get();
     slow_query_log_ = std::make_unique<SlowQueryLog>(slow_options);
   }
@@ -292,7 +292,7 @@ Status PdbServer::Start() {
     listen_fd_ = -1;
     return status;
   }
-  if (::listen(listen_fd_, options_.accept_backlog) != 0) {
+  if (::listen(listen_fd_, kAcceptBacklog) != 0) {
     Status status =
         Status::Internal(StrFormat("listen(): %s", std::strerror(errno)));
     ::close(listen_fd_);
@@ -397,7 +397,7 @@ void PdbServer::ServeConnection(uint64_t id, int fd) {
     ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
       idle_ms = 0;
-      if (options_.trace_queries && request_trace == nullptr) {
+      if (request_trace == nullptr) {
         request_trace = std::make_shared<QueryTrace>();
       }
       HttpRequestParser::State state =
@@ -419,9 +419,8 @@ void PdbServer::ServeConnection(uint64_t id, int fd) {
         state = parser.state();
         // A pipelined next request is already in flight: its bytes arrived
         // with this batch, so its trace starts now.
-        if (options_.trace_queries &&
-            (state == HttpRequestParser::State::kComplete ||
-             parser.streaming() || !parser.idle())) {
+        if (state == HttpRequestParser::State::kComplete ||
+            parser.streaming() || !parser.idle()) {
           request_trace = std::make_shared<QueryTrace>();
         }
       }

@@ -74,7 +74,6 @@ struct ServerOptions {
   /// Concurrent connections; an accept beyond this is answered 503 and
   /// closed immediately.
   size_t max_connections = 128;
-  int accept_backlog = 64;
   /// Query admission gate (concurrency cap + bounded wait queue).
   AdmissionOptions admission;
   /// Per-client session pool. `session.num_threads` defaults to 1 here —
@@ -90,10 +89,6 @@ struct ServerOptions {
   /// Keep-alive connections idle longer than this are closed.
   uint64_t idle_timeout_ms = 30'000;
   HttpLimits http;
-  /// Record a per-phase QueryTrace for every query (feeds /debug/traces).
-  /// The trace covers the whole request: http_parse (first byte to parsed
-  /// request), admission_wait, the engine phases, and http_respond.
-  bool trace_queries = true;
   /// Extra registry merged into the /metrics exposition (not owned; must
   /// outlive the server). pdbd points this at the durable layer's registry
   /// so WAL/recovery/checkpoint/component-store metrics ride the same
@@ -104,8 +99,6 @@ struct ServerOptions {
   /// with their full trace and an EXPLAIN payload into the ring served by
   /// GET /debug/slowlog, and mirrored to the event log.
   uint64_t slow_query_ms = 0;
-  /// Capacity of the slow-query ring.
-  size_t slow_query_ring = 64;
   /// Append the structured JSON-lines event log to this file
   /// (`pdbd --log-file`); empty keeps it in-memory only.
   std::string log_file;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <unordered_set>
 
 #include "storage/relation.h"
@@ -110,101 +109,33 @@ size_t DistinctComposite(const ColumnarRelation& cols,
 }
 
 ColumnarIndex::ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols,
-                             std::vector<size_t> key_cols)
-    : cols_(std::move(cols)), key_cols_(std::move(key_cols)) {
-  PDB_CHECK(!key_cols_.empty());
-  const size_t n = cols_->num_rows();
-  if (key_cols_.size() == 1) {
-    // CSR: two passes (count, then fill) keep each bucket's rows ascending.
-    const std::vector<uint32_t>& codes = cols_->codes(key_cols_[0]);
-    offsets_.assign(cols_->distinct(key_cols_[0]) + 1, 0);
-    for (uint32_t code : codes) ++offsets_[code + 1];
-    for (size_t c = 1; c < offsets_.size(); ++c) {
-      offsets_[c] += offsets_[c - 1];
-    }
-    rows_.resize(n);
-    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (size_t row = 0; row < n; ++row) {
-      rows_[cursor[codes[row]]++] = static_cast<uint32_t>(row);
-    }
-    return;
+                             size_t col)
+    : cols_(std::move(cols)) {
+  // CSR: two passes (count, then fill) keep each bucket's rows ascending.
+  const std::vector<uint32_t>& codes = cols_->codes(col);
+  offsets_.assign(cols_->distinct(col) + 1, 0);
+  for (uint32_t code : codes) ++offsets_[code + 1];
+  for (size_t c = 1; c < offsets_.size(); ++c) offsets_[c] += offsets_[c - 1];
+  rows_.resize(codes.size());
+  std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (size_t row = 0; row < codes.size(); ++row) {
+    rows_[cursor[codes[row]]++] = static_cast<uint32_t>(row);
   }
-  if (MixedRadix(*cols_, key_cols_, &radix_)) {
-    for (size_t row = 0; row < n; ++row) {
-      buckets_[CompositeCode(*cols_, key_cols_, radix_, row)].push_back(
-          static_cast<uint32_t>(row));
-    }
-    return;
-  }
-  // Wide key: sort the rows by their code tuple instead. The sort is
-  // stable, so each tuple's rows stay ascending.
-  radix_.clear();
-  rows_.resize(n);
-  std::iota(rows_.begin(), rows_.end(), 0u);
-  std::stable_sort(rows_.begin(), rows_.end(), [&](uint32_t a, uint32_t b) {
-    for (size_t col : key_cols_) {
-      uint32_t ca = cols_->codes(col)[a];
-      uint32_t cb = cols_->codes(col)[b];
-      if (ca != cb) return ca < cb;
-    }
-    return false;
-  });
 }
 
-int ColumnarIndex::CompareRow(uint32_t row, const uint32_t* key) const {
-  for (size_t p = 0; p < key_cols_.size(); ++p) {
-    uint32_t code = cols_->codes(key_cols_[p])[row];
-    if (code != key[p]) return code < key[p] ? -1 : 1;
-  }
-  return 0;
-}
-
-size_t ColumnarIndex::num_buckets() const {
-  // Single-column CSR buckets are never empty: every dictionary entry came
-  // from at least one row, so the bucket count is the dictionary size.
-  if (key_cols_.size() == 1) return offsets_.size() - 1;
-  if (!radix_.empty()) return buckets_.size();
-  size_t buckets = 0;
-  std::vector<uint32_t> prev(key_cols_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (i == 0 || CompareRow(rows_[i], prev.data()) != 0) ++buckets;
-    for (size_t p = 0; p < key_cols_.size(); ++p) {
-      prev[p] = cols_->codes(key_cols_[p])[rows_[i]];
-    }
-  }
-  return buckets;
-}
-
-void ColumnarIndex::Lookup(const uint32_t* key, const uint32_t** rows,
+void ColumnarIndex::Lookup(uint32_t code, const uint32_t** rows,
                            size_t* count) const {
-  if (key_cols_.size() == 1) {
-    *rows = rows_.data() + offsets_[key[0]];
-    *count = offsets_[key[0] + 1] - offsets_[key[0]];
-    return;
+  *rows = rows_.data() + offsets_[code];
+  *count = offsets_[code + 1] - offsets_[code];
+}
+
+size_t ProbedKeyPart(const ColumnarRelation& cols,
+                     const std::vector<size_t>& key_cols) {
+  size_t best = 0;
+  for (size_t p = 1; p < key_cols.size(); ++p) {
+    if (cols.distinct(key_cols[p]) > cols.distinct(key_cols[best])) best = p;
   }
-  if (radix_.empty()) {
-    auto lo = std::lower_bound(rows_.begin(), rows_.end(), key,
-                               [&](uint32_t row, const uint32_t* k) {
-                                 return CompareRow(row, k) < 0;
-                               });
-    auto hi = std::upper_bound(lo, rows_.end(), key,
-                               [&](const uint32_t* k, uint32_t row) {
-                                 return CompareRow(row, k) > 0;
-                               });
-    *rows = rows_.data() + (lo - rows_.begin());
-    *count = static_cast<size_t>(hi - lo);
-    return;
-  }
-  uint64_t code = 0;
-  for (size_t p = 0; p < key_cols_.size(); ++p) code += radix_[p] * key[p];
-  auto it = buckets_.find(code);
-  if (it == buckets_.end()) {
-    *rows = nullptr;
-    *count = 0;
-    return;
-  }
-  *rows = it->second.data();
-  *count = it->second.size();
+  return best;
 }
 
 }  // namespace pdb

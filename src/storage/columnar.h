@@ -16,13 +16,13 @@
 /// (`BuildCodeTranslation`), which is how cross-column joins compare codes
 /// without ever touching a `Value` on the hot path.
 ///
-/// `ColumnarIndex` is the columnar analogue of `HashIndex`: rows grouped by
-/// the codes of a key-column list. Single-column keys use a CSR layout
-/// (offset array indexed by code — an O(1) probe with no hashing);
-/// multi-column keys use a hash map over the mixed-radix composite code,
-/// or, when that code would overflow 64 bits, rows sorted by their code
-/// tuple. Bucket row ids are ascending, matching `HashIndex`, so the join
-/// executor enumerates matches in the reference matcher's order.
+/// `ColumnarIndex` is the columnar analogue of `HashIndex` for one column:
+/// a CSR layout (offset array indexed by code, so a probe is O(1) with no
+/// hashing) whose bucket row ids ascend, matching `HashIndex`, so the join
+/// executor enumerates matches in the reference matcher's order. A
+/// multi-column key probes the bucket of its most selective column
+/// (`ProbedKeyPart`) and checks the other key columns' codes row by row,
+/// so one index per column serves every key that probes that column.
 
 #ifndef PDB_STORAGE_COLUMNAR_H_
 #define PDB_STORAGE_COLUMNAR_H_
@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/value.h"
@@ -96,44 +95,29 @@ std::vector<uint32_t> BuildCodeTranslation(const std::vector<Value>& src,
 size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols);
 
-/// Equality index over a relation's code columns: rows grouped by the
-/// codes of `key_cols`. Bucket rows ascend, matching `HashIndex`.
+/// Equality index over one code column: row ids grouped by the column's
+/// dictionary code. Bucket rows ascend, matching `HashIndex`.
 class ColumnarIndex {
  public:
-  /// Builds the index; keeps `cols` alive for its own lifetime.
-  ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols,
-                std::vector<size_t> key_cols);
+  /// Builds the index over column `col` of `cols` (O(rows + distinct));
+  /// keeps `cols` alive for its own lifetime.
+  ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols, size_t col);
 
-  const std::vector<size_t>& key_cols() const { return key_cols_; }
-
-  /// Rows whose key columns carry the codes `key[0 .. key_cols().size())`
-  /// (each a valid code of its column), as a pointer + count span (empty
-  /// when no row has that key).
-  void Lookup(const uint32_t* key, const uint32_t** rows,
-              size_t* count) const;
-
-  /// Number of non-empty buckets — the distinct key count this index
-  /// observed. Single-column keys have one bucket per dictionary entry by
-  /// construction.
-  size_t num_buckets() const;
+  /// Rows whose column holds `code` (a valid code of the column), as a
+  /// pointer + count span.
+  void Lookup(uint32_t code, const uint32_t** rows, size_t* count) const;
 
  private:
-  /// Three-way comparison of `row`'s key codes with `key` (wide keys).
-  int CompareRow(uint32_t row, const uint32_t* key) const;
-
   std::shared_ptr<const ColumnarRelation> cols_;
-  std::vector<size_t> key_cols_;
-  // Multi-column key: mixed-radix multipliers of the composite code, or
-  // empty when the code would overflow 64 bits (a wide key).
-  std::vector<uint64_t> radix_;
-  // Single-column key: CSR over the column's code space.
   std::vector<uint32_t> offsets_;  // size = dict size + 1
-  // Single-column key: row ids grouped by code, ascending within a code.
-  // Wide key: row ids sorted by code tuple, ascending within a tuple.
-  std::vector<uint32_t> rows_;
-  // Multi-column key that fits: buckets over the composite code space.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+  std::vector<uint32_t> rows_;     // grouped by code, ascending within one
 };
+
+/// Position in `key_cols` (non-empty) of the column a key probes: the one
+/// with the most distinct values in `cols`, the first on a tie. The other
+/// key columns are checked row by row against that column's bucket.
+size_t ProbedKeyPart(const ColumnarRelation& cols,
+                     const std::vector<size_t>& key_cols);
 
 }  // namespace pdb
 

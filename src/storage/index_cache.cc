@@ -9,11 +9,8 @@
 namespace pdb {
 
 size_t IndexCache::KeyHash::operator()(const Key& key) const {
-  size_t h = std::hash<const void*>()(key.image);
-  for (size_t col : key.key_cols) {
-    h = h * 1315423911u + std::hash<size_t>()(col) + 0x9e3779b97f4a7c15ull;
-  }
-  return h;
+  return std::hash<const void*>()(key.image) * 1315423911u +
+         std::hash<size_t>()(key.col) + 0x9e3779b97f4a7c15ull;
 }
 
 IndexCache::IndexCache(IndexCacheOptions options) {
@@ -23,10 +20,8 @@ IndexCache::IndexCache(IndexCacheOptions options) {
 }
 
 std::shared_ptr<const ColumnarIndex> IndexCache::GetOrBuildColumnarIndex(
-    const Relation& relation, const std::vector<size_t>& key_cols,
-    bool* built) {
-  std::shared_ptr<const ColumnarRelation> image = relation.columnar();
-  Key key{image.get(), key_cols};
+    std::shared_ptr<const ColumnarRelation> image, size_t col, bool* built) {
+  Key key{image.get(), col};
   Shard& shard = *shards_[KeyHash()(key) % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -38,9 +33,8 @@ std::shared_ptr<const ColumnarIndex> IndexCache::GetOrBuildColumnarIndex(
   // Build inside the shard lock: concurrent requests for the same index
   // build it exactly once, and requests for other indexes only stall when
   // they collide on this shard.
-  auto index = std::make_shared<const ColumnarIndex>(std::move(image),
-                                                     key_cols);
-  shard.map.emplace(std::move(key), index);
+  auto index = std::make_shared<const ColumnarIndex>(std::move(image), col);
+  shard.map.emplace(key, index);
   builds_.fetch_add(1, std::memory_order_relaxed);
   if (built != nullptr) *built = true;
   return index;
@@ -65,14 +59,13 @@ IndexCacheStats IndexCache::stats() const {
 }
 
 std::shared_ptr<const ColumnarIndex> ColumnarIndexFor(
-    const Relation& relation, const std::vector<size_t>& key_cols,
+    std::shared_ptr<const ColumnarRelation> image, size_t col,
     IndexCache* cache, ExecContext* exec) {
   bool built = true;
   std::shared_ptr<const ColumnarIndex> index =
       cache != nullptr
-          ? cache->GetOrBuildColumnarIndex(relation, key_cols, &built)
-          : std::make_shared<const ColumnarIndex>(relation.columnar(),
-                                                  key_cols);
+          ? cache->GetOrBuildColumnarIndex(std::move(image), col, &built)
+          : std::make_shared<const ColumnarIndex>(std::move(image), col);
   if (exec != nullptr) {
     exec->Add(built ? ExecCounter::kIndexBuilds : ExecCounter::kIndexCacheHits,
               1);
@@ -97,12 +90,19 @@ std::vector<uint32_t> MatchingRows(const Relation& relation,
     // A value no row holds: nothing matches.
     if (codes[p] == ColumnarRelation::kNoCode) return rows;
   }
+  const size_t probe = ProbedKeyPart(*image, key_cols);
   std::shared_ptr<const ColumnarIndex> index =
-      ColumnarIndexFor(relation, key_cols, cache, exec);
+      ColumnarIndexFor(image, key_cols[probe], cache, exec);
   const uint32_t* bucket = nullptr;
   size_t count = 0;
-  index->Lookup(codes.data(), &bucket, &count);
-  rows.assign(bucket, bucket + count);
+  index->Lookup(codes[probe], &bucket, &count);
+  for (size_t i = 0; i < count; ++i) {
+    bool match = true;
+    for (size_t p = 0; p < key_cols.size() && match; ++p) {
+      match = p == probe || image->codes(key_cols[p])[bucket[i]] == codes[p];
+    }
+    if (match) rows.push_back(bucket[i]);
+  }
   return rows;
 }
 

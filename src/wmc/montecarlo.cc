@@ -81,8 +81,7 @@ Estimate NaiveMonteCarlo(FormulaManager* mgr, NodeId root,
 
 namespace {
 
-/// Precomputed Karp–Luby sampling tables, shared by the one-shot and the
-/// adaptive estimator.
+/// Precomputed Karp–Luby sampling tables, shared by every batch.
 struct KlSetup {
   std::vector<double> term_probs;
   double total = 0.0;
@@ -209,20 +208,10 @@ Estimate EstimateFromAccum(const KlAccum& accum) {
 Result<Estimate> KarpLubyDnf(const std::vector<std::vector<VarId>>& terms,
                              const std::vector<double>& probs,
                              uint64_t samples, Rng* rng, ExecContext* ctx) {
-  if (terms.empty()) {
-    return Estimate{0.0, 0.0, samples};
-  }
-  PDB_ASSIGN_OR_RETURN(KlSetup setup, PrepareKarpLuby(terms, probs));
-  if (setup.total == 0.0) {
-    return Estimate{0.0, 0.0, samples};
-  }
-  Rng base(rng->Next());
-  KlAccum accum = KarpLubyBatch(terms, probs, setup, samples, base, ctx);
-  if (ctx) {
-    ctx->Add(ExecCounter::kSamplesDrawn, accum.drawn);
-    ctx->Add(ExecCounter::kMcBatches, 1);
-  }
-  return EstimateFromAccum(accum);
+  AdaptiveSampleOptions options;
+  options.max_samples = samples;
+  options.batch_samples = samples;
+  return KarpLubyDnfAdaptive(terms, probs, options, rng, ctx);
 }
 
 Result<Estimate> KarpLubyDnfAdaptive(
@@ -250,9 +239,9 @@ Result<Estimate> KarpLubyDnfAdaptive(
     // most one partial batch is drawn after the deadline).
     if (ctx && ctx->ShouldStop()) break;
     uint64_t want = std::min(batch, options.max_samples - accum.drawn);
-    // One parent advance per batch, exactly like one KarpLubyDnf call per
-    // batch: the substream tree (and hence a full run's estimate) is a
-    // pure function of the seed and the batch plan, never of thread count.
+    // One parent advance per batch: the substream tree (and hence a full
+    // run's estimate) is a pure function of the seed and the batch plan,
+    // never of thread count.
     Rng base(rng->Next());
     KlAccum part = KarpLubyBatch(terms, probs, setup, want, base, ctx);
     accum.sum += part.sum;

@@ -49,8 +49,9 @@ Estimate NaiveMonteCarlo(FormulaManager* mgr, NodeId root,
                          Rng* rng, ExecContext* ctx = nullptr);
 
 /// Karp–Luby estimator for a DNF given as term lists (each term a
-/// conjunction of positive variables). Requires at least one term with
-/// nonzero probability; probabilities must lie in [0, 1].
+/// conjunction of positive variables): `KarpLubyDnfAdaptive` drawing one
+/// batch of `samples`. An empty or zero-probability DNF estimates 0 with
+/// no samples drawn; probabilities must lie in [0, 1].
 /// `ctx` may be null (sequential, no deadline).
 Result<Estimate> KarpLubyDnf(const std::vector<std::vector<VarId>>& terms,
                              const std::vector<double>& probs,
@@ -76,8 +77,8 @@ struct AdaptiveSampleOptions {
 /// once `target_std_error` is reached or the context's deadline/cancel
 /// signal fires, instead of always spending the full budget (Gatterbauer–
 /// Suciu-style anytime inference). Each batch is itself sharded with the
-/// thread-count-invariant plan of `KarpLubyDnf` and batches are merged in
-/// batch order, so for a fixed seed the estimate of a *full* run (no early
+/// thread-count-invariant plan of `NumSampleShards` and batches are merged
+/// in batch order, so for a fixed seed the estimate of a *full* run (no early
 /// stop) is bit-identical whether it ran on 1 worker or 64; an
 /// early-stopped run is deterministic too, provided the stop came from the
 /// std-error test rather than the wall clock.

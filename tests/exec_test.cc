@@ -340,14 +340,20 @@ TEST(DeadlineFallbackTest, SampledIntervalContainsEstimate) {
   }
 }
 
+// Budgets whose expiry overflows the clock's nanosecond count arm no
+// deadline at all, rather than one that has already passed.
 TEST(DeadlineFallbackTest, GenerousDeadlineStaysExact) {
   ProbDatabase pdb(HardDatabase(3));
-  QueryOptions options;
-  options.exec.deadline_ms = 60'000;
-  auto answer = pdb.Query("R(x), S(x,y), T(y)", options);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_TRUE(answer->exact);
-  EXPECT_FALSE(answer->report.deadline_exceeded);
+  for (uint64_t deadline_ms :
+       {uint64_t{60'000}, uint64_t{10'000'000'000'000}, UINT64_MAX}) {
+    QueryOptions options;
+    options.exec.deadline_ms = deadline_ms;
+    auto answer = pdb.Query("R(x), S(x,y), T(y)", options);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer->method, InferenceMethod::kGroundedExact) << deadline_ms;
+    EXPECT_TRUE(answer->exact) << deadline_ms;
+    EXPECT_FALSE(answer->report.deadline_exceeded) << deadline_ms;
+  }
 }
 
 TEST(ParallelAnswersTest, FanOutMatchesSequential) {

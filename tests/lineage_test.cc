@@ -238,18 +238,63 @@ TEST(ColumnarGrounding, WideCompositeKeyMatchesReference) {
   }
 }
 
+// A(x, g), S(x, g, z), T(z, v): in either join order S is keyed on
+// (x, g) and runs before T. S's g column has the most distinct values, so
+// the key reads the g bucket, and five of its six rows fail the x check.
+// Each passing row runs T's probe before S checks the rest of its bucket,
+// so T must not overwrite the key codes S checks against.
+TEST(ColumnarGrounding, CompositeKeyBeforeALaterStep) {
+  constexpr int64_t kX = 6;
+  Relation a("A", Schema::Anonymous(2, ValueType::kInt));
+  Relation s("S", Schema::Anonymous(3, ValueType::kInt));
+  Relation t("T", Schema::Anonymous(2, ValueType::kInt));
+  for (int64_t g = 0; g < 20; ++g) {
+    for (int64_t x = 0; x < kX; ++x) {
+      if (g < 2) PDB_CHECK(a.AddTuple({Value(x), Value(g)}, 0.5).ok());
+      PDB_CHECK(s.AddTuple({Value(x), Value(g), Value((x + 1) % kX)}, 0.5)
+                    .ok());
+    }
+  }
+  for (int64_t z = 0; z < kX; ++z) {
+    for (int64_t v = 0; v < 3; ++v) {
+      PDB_CHECK(t.AddTuple({Value(z), Value(v)}, 0.5).ok());
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(a)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
+  PDB_CHECK(db.AddRelation(std::move(t)).ok());
+  ConjunctiveQuery cq({Atom("A", {Term::Var("x"), Term::Var("g")}),
+                       Atom("S", {Term::Var("x"), Term::Var("g"),
+                                  Term::Var("z")}),
+                       Atom("T", {Term::Var("z"), Term::Var("v")})});
+  MatchList expected = CollectReference(cq, db);
+  ASSERT_EQ(expected.size(), static_cast<size_t>(2 * kX * 3));
+  IndexCache cache;
+  ExecContext ctx;
+  ctx.set_index_cache(&cache);
+  for (AtomOrderPolicy policy :
+       {AtomOrderPolicy::kCostBased, AtomOrderPolicy::kSyntactic}) {
+    GroundingOptions options;
+    options.order = policy;
+    EXPECT_EQ(Collect(cq, db, options), expected);
+    options.exec = &ctx;  // the session-cached index
+    EXPECT_EQ(Collect(cq, db, options), expected);
+  }
+}
+
 TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
   Rng rng(3);
   Database db = RandomVocabularyDb(&rng);
   const Relation* s = db.Get("S").value();
   IndexCache cache;
   bool built = false;
-  auto a = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
+  auto a = cache.GetOrBuildColumnarIndex(s->columnar(), 0, &built);
   EXPECT_TRUE(built);
-  auto b = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
+  auto b = cache.GetOrBuildColumnarIndex(s->columnar(), 0, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(a.get(), b.get());
-  auto c = cache.GetOrBuildColumnarIndex(*s, {1}, &built);
+  auto c = cache.GetOrBuildColumnarIndex(s->columnar(), 1, &built);
   EXPECT_TRUE(built);
   EXPECT_NE(a.get(), c.get());
   IndexCacheStats stats = cache.stats();
@@ -260,10 +305,55 @@ TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+// A join that keys S on (g, x) and a lookup of S by g alone both read the
+// g column's index, since g has the most distinct values in S: one cache
+// builds it once and serves it to both.
+TEST(IndexCacheTest, OneIndexPerColumn) {
+  Relation r("R", Schema::Anonymous(2, ValueType::kInt));
+  Relation s("S", Schema::Anonymous(3, ValueType::kInt));
+  for (int64_t g = 0; g < 10; ++g) {
+    for (int64_t x = 0; x < 3; ++x) {
+      PDB_CHECK(r.AddTuple({Value(g), Value(x)}, 0.5).ok());
+      for (int64_t y = 0; y < 2; ++y) {
+        PDB_CHECK(s.AddTuple({Value(g), Value(x), Value(y)}, 0.5).ok());
+      }
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(r)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
+  const Relation* stored = db.Get("S").value();
+  ASSERT_EQ(ProbedKeyPart(*stored->columnar(), {0, 1}), 0u);
+  IndexCache cache;
+  ExecContext ctx;
+  ctx.set_index_cache(&cache);
+  ConjunctiveQuery cq({Atom("R", {Term::Var("g"), Term::Var("x")}),
+                       Atom("S", {Term::Var("g"), Term::Var("x"),
+                                  Term::Var("y")})});
+  GroundingOptions options;
+  options.order = AtomOrderPolicy::kSyntactic;  // R scans, S probes
+  options.exec = &ctx;
+  EXPECT_EQ(Collect(cq, db, options), CollectReference(cq, db));
+  IndexCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  std::vector<uint32_t> rows =
+      MatchingRows(*stored, {0}, {Value(4)}, &cache, &ctx);
+  EXPECT_EQ(rows, (std::vector<uint32_t>{24, 25, 26, 27, 28, 29}));
+  stats = cache.stats();
+  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  ExecReport report = ctx.Report();
+  EXPECT_EQ(report.index_builds, 1u);
+  EXPECT_EQ(report.index_cache_hits, 1u);
+}
+
 // Entries are keyed by the columnar image they were built from, so a
 // relation freed and re-created at a recycled address never meets its
-// predecessor's index. The row count changes every round, so a stale index
-// shows in its bucket count before any lookup.
+// predecessor's index. Every round holds new values, so a stale index
+// shows in a lookup of any row.
 TEST(IndexCacheTest, RecycledRelationAddressGetsAFreshIndex) {
   IndexCache cache;
   for (int64_t round = 0; round < 200; ++round) {
@@ -272,14 +362,12 @@ TEST(IndexCacheTest, RecycledRelationAddressGetsAFreshIndex) {
     for (int64_t i = 0; i < rows; ++i) {
       ASSERT_TRUE(rel->AddTuple({Value(round + i), Value(i)}, 0.5).ok());
     }
-    auto index = cache.GetOrBuildColumnarIndex(*rel, {0});
     auto image = rel->columnar();
-    ASSERT_EQ(index->num_buckets(), image->distinct(0)) << "round " << round;
+    auto index = cache.GetOrBuildColumnarIndex(image, 0);
     for (size_t row = 0; row < rel->size(); ++row) {
-      uint32_t code = image->codes(0)[row];
       const uint32_t* bucket = nullptr;
       size_t count = 0;
-      index->Lookup(&code, &bucket, &count);
+      index->Lookup(image->codes(0)[row], &bucket, &count);
       ASSERT_EQ(count, 1u);
       EXPECT_EQ(bucket[0], row);
     }
@@ -302,18 +390,15 @@ TEST(IndexCacheTest, ConcurrentClientsAndClears) {
       Rng local(static_cast<uint64_t>(t) + 100);
       for (int iter = 0; iter < 400; ++iter) {
         const Relation* rel = (iter % 2 == 0) ? s : u;
-        std::vector<size_t> cols =
-            local.Bernoulli(0.5) ? std::vector<size_t>{0}
-                                 : std::vector<size_t>{1};
+        size_t col = local.Bernoulli(0.5) ? 0 : 1;
         // The shared_ptrs keep the image and index alive across
         // concurrent clears.
         auto image = rel->columnar();
-        auto index = cache.GetOrBuildColumnarIndex(*rel, cols);
+        auto index = cache.GetOrBuildColumnarIndex(image, col);
         size_t row = local.Uniform(rel->size());
-        uint32_t code = image->codes(cols[0])[row];
         const uint32_t* rows = nullptr;
         size_t count = 0;
-        index->Lookup(&code, &rows, &count);
+        index->Lookup(image->codes(col)[row], &rows, &count);
         EXPECT_GT(count, 0u);
         EXPECT_TRUE(std::find(rows, rows + count, row) != rows + count);
       }

@@ -14,6 +14,7 @@
 #include "storage/csv.h"
 #include "storage/database.h"
 #include "storage/env.h"
+#include "storage/index_cache.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -220,39 +221,54 @@ TEST(ColumnarIndexTest, SingleColumnCsrLookup) {
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(11)}, 1).ok());
   ASSERT_TRUE(rel.AddTuple({Value(2), Value(12)}, 1).ok());
   auto cols = ColumnarRelation::Build(rel);
-  ColumnarIndex index(cols, {0});
+  ColumnarIndex index(cols, 0);
   const uint32_t* rows = nullptr;
   size_t count = 0;
-  uint32_t key = cols->CodeOf(0, Value(1));
-  index.Lookup(&key, &rows, &count);
+  index.Lookup(cols->CodeOf(0, Value(1)), &rows, &count);
   ASSERT_EQ(count, 1u);
   EXPECT_EQ(rows[0], 1u);
-  key = cols->CodeOf(0, Value(2));
-  index.Lookup(&key, &rows, &count);
+  index.Lookup(cols->CodeOf(0, Value(2)), &rows, &count);
   ASSERT_EQ(count, 2u);
   EXPECT_EQ(rows[0], 0u);  // bucket rows ascend, matching HashIndex
   EXPECT_EQ(rows[1], 2u);
 }
 
+// The ids of `rel`'s rows whose columns `key_cols` hold `key`, by a scan.
+std::vector<uint32_t> ScanMatchingRows(const Relation& rel,
+                                       const std::vector<size_t>& key_cols,
+                                       const Tuple& key) {
+  std::vector<uint32_t> rows;
+  for (size_t row = 0; row < rel.size(); ++row) {
+    bool same = true;
+    for (size_t p = 0; p < key_cols.size(); ++p) {
+      same = same && rel.tuple(row)[key_cols[p]] == key[p];
+    }
+    if (same) rows.push_back(static_cast<uint32_t>(row));
+  }
+  return rows;
+}
+
+// A two-column key probes the bucket of its column with more distinct
+// values and checks the other one per row.
 TEST(ColumnarIndexTest, CompositeKeyLookup) {
   Relation rel("S", Schema::Anonymous(3));
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(10), Value(0)}, 1).ok());
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(11), Value(0)}, 1).ok());
   ASSERT_TRUE(rel.AddTuple({Value(2), Value(10), Value(0)}, 1).ok());
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(10), Value(1)}, 1).ok());
-  auto cols = ColumnarRelation::Build(rel);
-  ColumnarIndex index(cols, {0, 1});
-  uint32_t key[] = {cols->CodeOf(0, Value(1)), cols->CodeOf(1, Value(10))};
-  const uint32_t* rows = nullptr;
-  size_t count = 0;
-  index.Lookup(key, &rows, &count);
-  ASSERT_EQ(count, 2u);
-  EXPECT_EQ(rows[0], 0u);
-  EXPECT_EQ(rows[1], 3u);
-  // A key combination nobody has resolves to the empty span.
-  uint32_t absent[] = {cols->CodeOf(0, Value(2)), cols->CodeOf(1, Value(11))};
-  index.Lookup(absent, &rows, &count);
-  EXPECT_EQ(count, 0u);
+  ASSERT_TRUE(rel.AddTuple({Value(3), Value(10), Value(1)}, 1).ok());
+  std::vector<size_t> key_cols = {0, 1};
+  EXPECT_EQ(ProbedKeyPart(*rel.columnar(), key_cols), 0u);  // 3 vs 2 values
+  EXPECT_EQ(ProbedKeyPart(*rel.columnar(), {1, 2}), 0u);    // a tie: first
+  Tuple key = {Value(1), Value(10)};
+  std::vector<uint32_t> rows =
+      MatchingRows(rel, key_cols, key, nullptr, nullptr);
+  EXPECT_EQ(rows, (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(rows, ScanMatchingRows(rel, key_cols, key));
+  // A key combination nobody has matches no row.
+  Tuple absent = {Value(2), Value(11)};
+  EXPECT_TRUE(MatchingRows(rel, key_cols, absent, nullptr, nullptr).empty());
+  EXPECT_TRUE(ScanMatchingRows(rel, key_cols, absent).empty());
 }
 
 // An 8-column key with 256 distinct values per column spans 256^8 = 2^64
@@ -276,35 +292,21 @@ TEST(ColumnarIndexTest, WideCompositeKeyLookup) {
       ASSERT_TRUE(rel.AddTuple(std::move(t), 1).ok());
     }
   }
-  auto cols = ColumnarRelation::Build(rel);
   std::vector<size_t> key_cols = {0, 1, 2, 3, 4, 5, 6, 7};
-  ColumnarIndex index(cols, key_cols);
-  EXPECT_EQ(index.num_buckets(), static_cast<size_t>(kRows));
-  EXPECT_EQ(DistinctComposite(*cols, key_cols), 0u);  // overflows 64 bits
+  // The composite code overflows 64 bits.
+  EXPECT_EQ(DistinctComposite(*rel.columnar(), key_cols), 0u);
+  IndexCache cache;
   for (size_t row = 0; row < rel.size(); ++row) {
-    std::vector<uint32_t> key;
-    for (size_t c : key_cols) key.push_back(cols->codes(c)[row]);
-    std::vector<uint32_t> want;
-    for (size_t other = 0; other < rel.size(); ++other) {
-      bool same = true;
-      for (size_t c : key_cols) {
-        same = same && cols->codes(c)[other] == cols->codes(c)[row];
-      }
-      if (same) want.push_back(static_cast<uint32_t>(other));
-    }
+    Tuple key(rel.tuple(row).begin(), rel.tuple(row).begin() + kCols);
+    std::vector<uint32_t> want = ScanMatchingRows(rel, key_cols, key);
     ASSERT_EQ(want.size(), 2u);
-    const uint32_t* rows = nullptr;
-    size_t count = 0;
-    index.Lookup(key.data(), &rows, &count);
-    EXPECT_EQ(std::vector<uint32_t>(rows, rows + count), want)
+    EXPECT_EQ(MatchingRows(rel, key_cols, key, &cache, nullptr), want)
         << "row " << row;
   }
   // No row carries value 0 in every key column.
-  std::vector<uint32_t> absent(kCols, cols->CodeOf(0, Value(0)));
-  const uint32_t* rows = nullptr;
-  size_t count = 1;
-  index.Lookup(absent.data(), &rows, &count);
-  EXPECT_EQ(count, 0u);
+  Tuple absent(kCols, Value(0));
+  EXPECT_TRUE(MatchingRows(rel, key_cols, absent, &cache, nullptr).empty());
+  EXPECT_TRUE(ScanMatchingRows(rel, key_cols, absent).empty());
 }
 
 TEST(ColumnarStatsTest, DistinctCompositeCountsObservedPairs) {
@@ -318,9 +320,6 @@ TEST(ColumnarStatsTest, DistinctCompositeCountsObservedPairs) {
   EXPECT_EQ(DistinctComposite(*cols, {0, 1}), 4u);
   EXPECT_EQ(DistinctComposite(*cols, {0}), 4u);
   EXPECT_EQ(DistinctComposite(*cols, {}), 0u);  // no key columns
-  // The stat matches what a ColumnarIndex over the same key observes.
-  ColumnarIndex index(cols, {0, 1});
-  EXPECT_EQ(index.num_buckets(), 4u);
 
   Relation grid("Grid", Schema::Anonymous(2));
   for (int64_t x = 0; x < 2; ++x) {
@@ -330,8 +329,6 @@ TEST(ColumnarStatsTest, DistinctCompositeCountsObservedPairs) {
   }
   auto grid_cols = ColumnarRelation::Build(grid);
   EXPECT_EQ(DistinctComposite(*grid_cols, {0, 1}), 6u);  // full cross product
-  ColumnarIndex grid_index(grid_cols, {1});
-  EXPECT_EQ(grid_index.num_buckets(), 3u);  // CSR: one bucket per code
 }
 
 TEST(ColumnarTest, CodeTranslationAlignsTwoDictionaries) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "boolean/lineage.h"
@@ -250,6 +251,40 @@ TEST(MonteCarloTest, KarpLubyEdgeCases) {
   EXPECT_DOUBLE_EQ(KarpLubyDnf({{0}}, {1.0}, 100, &rng)->value, 1.0);
   // Variable out of range.
   EXPECT_FALSE(KarpLubyDnf({{5}}, {0.5}, 10, &rng).ok());
+}
+
+// KarpLubyDnf is one batch of KarpLubyDnfAdaptive: one parent RNG draw and
+// one batch of `samples`. These value and std_error bits were taken from
+// the earlier standalone implementation, on one worker and on three.
+TEST(MonteCarloTest, KarpLubyEstimatesKeepTheirBits) {
+  std::vector<std::vector<VarId>> terms = {{0, 1}, {1, 2}, {2, 3}, {0, 3}};
+  std::vector<double> probs = {0.3, 0.5, 0.7, 0.2};
+  struct Case {
+    uint64_t seed;
+    uint64_t samples;
+    uint64_t value_bits;
+    uint64_t std_error_bits;
+  };
+  const Case cases[] = {
+      {1, 1000, 0x3fdf0068db8bac87, 0x3f79d8a9cd26e52d},
+      {1, 20000, 0x3fde535fc3b4f63a, 0x3f56e05d5a771ddc},
+      {7, 1000, 0x3fddf2e48e8a7200, 0x3f7932943d937bc0},
+      {42, 20000, 0x3fde5460aa64c319, 0x3f56d8346acec5d3},
+  };
+  ThreadPool pool(3);
+  ExecContext parallel(&pool);
+  for (const Case& c : cases) {
+    for (ExecContext* ctx : {static_cast<ExecContext*>(nullptr), &parallel}) {
+      Rng rng(c.seed);
+      auto est = KarpLubyDnf(terms, probs, c.samples, &rng, ctx);
+      ASSERT_TRUE(est.ok());
+      EXPECT_EQ(std::bit_cast<uint64_t>(est->value), c.value_bits)
+          << "seed " << c.seed << " samples " << c.samples;
+      EXPECT_EQ(std::bit_cast<uint64_t>(est->std_error), c.std_error_bits)
+          << "seed " << c.seed << " samples " << c.samples;
+      EXPECT_EQ(est->samples, c.samples);
+    }
+  }
 }
 
 TEST(MonteCarloTest, AdaptiveKarpLubyStopsEarlyAtTargetStdError) {
