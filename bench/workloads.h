@@ -9,9 +9,11 @@
 #ifndef PDB_BENCH_WORKLOADS_H_
 #define PDB_BENCH_WORKLOADS_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "storage/database.h"
@@ -102,6 +104,56 @@ inline Database H0Database(size_t n, Rng* rng = nullptr) {
   for (size_t i = 1; i <= n; ++i) {
     PDB_CHECK(t.AddTuple({Value(static_cast<int64_t>(i))}, prob()).ok());
   }
+  PDB_CHECK(db.AddRelation(std::move(t)).ok());
+  return db;
+}
+
+/// The edges of one of perfbench's cold-read H0 blocks: pair (x, y) of
+/// [0, n)² is an edge with probability `density`, decided by a splitmix64
+/// stream seeded with `structure` — the generator perfbench/workload.cc
+/// draws its block structure from, so (8, 0.5, 4) and (9, 0.5, 1) are the
+/// dense and the sampled block shapes of that workload.
+inline std::vector<std::pair<int, int>> BlockEdges(int n, double density,
+                                                   uint64_t structure) {
+  uint64_t state = structure;
+  auto uniform = [&state] {
+    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    return static_cast<double>(z >> 11) * 0x1.0p-53;
+  };
+  std::vector<std::pair<int, int>> edges;
+  for (int x = 0; x < n; ++x) {
+    for (int y = 0; y < n; ++y) {
+      if (uniform() < density) edges.emplace_back(x, y);
+    }
+  }
+  return edges;
+}
+
+/// H0 instance over one block: R(x), T(y) for x, y in [0, n) and S(x, y)
+/// per edge, each tuple's probability uniform in [lo, hi].
+inline Database H0BlockDatabase(int n,
+                                const std::vector<std::pair<int, int>>& edges,
+                                double lo, double hi, Rng* rng) {
+  Relation r("R", Schema::Anonymous(1));
+  Relation s("S", Schema::Anonymous(2));
+  Relation t("T", Schema::Anonymous(1));
+  auto prob = [&] { return lo + (hi - lo) * rng->NextDouble(); };
+  for (int i = 0; i < n; ++i) {
+    PDB_CHECK(r.AddTuple({Value(static_cast<int64_t>(i))}, prob()).ok());
+    PDB_CHECK(t.AddTuple({Value(static_cast<int64_t>(i))}, prob()).ok());
+  }
+  for (const auto& [x, y] : edges) {
+    PDB_CHECK(s.AddTuple({Value(static_cast<int64_t>(x)),
+                          Value(static_cast<int64_t>(y))},
+                         prob())
+                  .ok());
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(r)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
   PDB_CHECK(db.AddRelation(std::move(t)).ok());
   return db;
 }

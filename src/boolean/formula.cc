@@ -77,9 +77,9 @@ NodeId FormulaManager::And(std::vector<NodeId> in) {
   std::sort(flat.begin(), flat.end());
   flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
   // x & !x -> false.
-  std::unordered_set<NodeId> set(flat.begin(), flat.end());
   for (NodeId c : flat) {
-    if (kind(c) == FormulaKind::kNot && set.count(children(c)[0])) {
+    if (kind(c) == FormulaKind::kNot &&
+        std::binary_search(flat.begin(), flat.end(), children(c)[0])) {
       return False();
     }
   }
@@ -102,9 +102,10 @@ NodeId FormulaManager::Or(std::vector<NodeId> in) {
   }
   std::sort(flat.begin(), flat.end());
   flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
-  std::unordered_set<NodeId> set(flat.begin(), flat.end());
+  // x | !x -> true.
   for (NodeId c : flat) {
-    if (kind(c) == FormulaKind::kNot && set.count(children(c)[0])) {
+    if (kind(c) == FormulaKind::kNot &&
+        std::binary_search(flat.begin(), flat.end(), children(c)[0])) {
       return True();
     }
   }

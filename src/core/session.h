@@ -89,7 +89,9 @@ struct SessionOptions {
   /// Share one cross-query WMC subformula cache (wmc/wmc_cache.h) across
   /// every DPLL run issued through the session — including the per-tuple
   /// fan-out of QueryWithAnswers, which otherwise re-solves near-identical
-  /// lineages from scratch.
+  /// lineages from scratch. Each run probes it only until its miss budget
+  /// (`DpllCounter::kSharedMissBudget`) is spent, so a stream of lineages
+  /// that never repeat costs a bounded number of probes per query.
   bool share_wmc_cache = true;
   /// Byte budget of the shared WMC cache (per-shard CLOCK eviction).
   size_t wmc_cache_bytes = size_t{64} << 20;

@@ -14,24 +14,10 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&seed);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::Uniform(uint64_t bound) {
@@ -43,13 +29,6 @@ uint64_t Rng::Uniform(uint64_t bound) {
     if (r >= threshold) return r % bound;
   }
 }
-
-double Rng::NextDouble() {
-  // 53 top bits -> [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 Rng Rng::Split(uint64_t stream) const {
   // Condense the 256-bit state into one word, fold in the stream index,

@@ -159,12 +159,13 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
   }
 
   // Session-shared cross-query cache: probed after the local NodeId cache
-  // (which is a plain hash lookup, no hashing of structure) and only for
-  // subformulas big enough to amortise the signature/fingerprint cost. A
-  // hit is an identical subproblem — same unordered structure, same
-  // weights — so the cached double is bit-identical to what the search
-  // below would compute (the search is canonical in the unordered
-  // structure: see the component ordering note).
+  // (which is a plain hash lookup, no hashing of structure), only for
+  // subformulas big enough to amortise the signature/fingerprint cost, and
+  // only until the run's miss budget is spent. A hit is an identical
+  // subproblem — same unordered structure, same weights — so the cached
+  // double is bit-identical to what the search below would compute (the
+  // search is canonical in the unordered structure: see the component
+  // ordering note).
   std::optional<WmcCache::Key> shared_key = SharedKey(f);
   if (shared_key) {
     // Probe latency is measured only while a trace rides on the context:
@@ -284,7 +285,8 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
 }
 
 std::optional<WmcCache::Key> DpllCounter::SharedKey(NodeId f) {
-  if (options_.shared_cache == nullptr || options_.trace != nullptr) {
+  if (options_.shared_cache == nullptr || options_.trace != nullptr ||
+      stats_.shared_misses >= kSharedMissBudget) {
     return std::nullopt;
   }
   const std::vector<VarId>& vars = mgr_->VarsOf(f);

@@ -15,9 +15,15 @@
 ///    function of (unordered structure, per-variable weights), so a key
 ///    match means the cached double is *the* answer, bit for bit;
 ///  - the table is N-way sharded (mutex striping on the signature), so the
-///    parallel component children of one query, the per-tuple fan-out of
-///    `QueryWithAnswers`, and concurrent session clients all publish and
-///    probe one cache without serialising on a single lock;
+///    per-tuple fan-out of `QueryWithAnswers` and concurrent session
+///    clients all publish and probe one cache without serialising on a
+///    single lock;
+///  - a `DpllCounter` probes it at its first subformulas of at least
+///    `shared_cache_min_vars` variables, until the run has missed
+///    `DpllCounter::kSharedMissBudget` times, and publishes exactly what it
+///    probed. Keys contain VarIds, so a hit needs the same grounding
+///    prefix and lands among a run's first probes: a repeated lineage at
+///    the root, an answer fan-out's shared core at the second probe;
 ///  - each shard runs CLOCK (second-chance) eviction under its slice of a
 ///    configurable byte budget, so a long-lived session cannot grow the
 ///    cache without bound while hot entries survive;

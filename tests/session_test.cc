@@ -183,6 +183,40 @@ TEST(SessionTest, QueryWithAnswersHonorsDeadline) {
   EXPECT_GT(total.samples_drawn, 0u);
 }
 
+// Every answer tuple of U(z), R(x), S(x,y), T(y) conjoins its own U(z_i)
+// with the same R-S-T core. DPLL probes that core second, within its
+// shared-cache miss budget, so each tuple after the first finds it.
+TEST(SessionTest, FanOutHitsTheSharedCore) {
+  Database db = HardDatabase(4);
+  Relation u("U", Schema::Anonymous(1));
+  constexpr size_t kHeads = 8;
+  for (size_t i = 1; i <= kHeads; ++i) {
+    ASSERT_TRUE(
+        u.AddTuple({Value(static_cast<int64_t>(i))}, 0.1 + 0.05 * i).ok());
+  }
+  ASSERT_TRUE(db.AddRelation(std::move(u)).ok());
+  ProbDatabase pdb(std::move(db));
+  ConjunctiveQuery cq({Atom("U", {Term::Var("z")}),
+                       Atom("R", {Term::Var("x")}),
+                       Atom("S", {Term::Var("x"), Term::Var("y")}),
+                       Atom("T", {Term::Var("y")})});
+  Session shared(&pdb, {.num_threads = 1, .cache_results = false});
+  Session plain(&pdb, {.num_threads = 1,
+                       .cache_results = false,
+                       .share_wmc_cache = false});
+  auto with_cache = shared.QueryWithAnswers(cq, {"z"});
+  auto without_cache = plain.QueryWithAnswers(cq, {"z"});
+  ASSERT_TRUE(with_cache.ok());
+  ASSERT_TRUE(without_cache.ok());
+  ASSERT_EQ(with_cache->size(), kHeads);
+  ASSERT_EQ(without_cache->size(), kHeads);
+  EXPECT_GE(shared.wmc_cache_stats().hits, kHeads - 1);
+  for (size_t i = 0; i < kHeads; ++i) {
+    EXPECT_EQ(with_cache->tuple(i), without_cache->tuple(i));
+    EXPECT_EQ(with_cache->prob(i), without_cache->prob(i));
+  }
+}
+
 TEST(SessionTest, ApproximateAnswersAreNotCached) {
   ProbDatabase pdb(HardDatabase(8));
   Session session(&pdb, {.num_threads = 1});

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
 
 #include "util/big_int.h"
 #include "util/rational.h"
@@ -286,6 +289,37 @@ TEST(RngTest, BernoulliFrequency) {
   const int kTrials = 100000;
   for (int i = 0; i < kTrials; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / kTrials, 0.3, 0.01);
+}
+
+// Golden values of one stream, taken before the per-draw methods moved
+// inline: Monte Carlo estimates are pinned bit for bit, so the stream they
+// draw from must not change.
+TEST(RngTest, StreamKeepsItsBits) {
+  Rng rng(20201231);
+  for (uint64_t expected : {0x69a7282a29aaaca5ULL, 0x5d9136bc892d6aa2ULL,
+                            0xe8298acf57ae4571ULL, 0x3914c622f7e15372ULL}) {
+    EXPECT_EQ(rng.Next(), expected);
+  }
+  for (uint64_t expected : {0x3fe0f0f484c73bbcULL, 0x3feddc8d8fa1d9cdULL,
+                            0x3fe317cf60501fc6ULL, 0x3fd101c8c66de85aULL}) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(rng.NextDouble()), expected);
+  }
+  // 64 draws per probability, packed low bit first.
+  const std::pair<double, uint64_t> bernoulli[] = {
+      {0.3, 0x0030659080006011ULL},   {0.5, 0x7a306f6c16a52e93ULL},
+      {1e-300, 0x0000000000000000ULL}, {1.0, 0xffffffffffffffffULL},
+      {0.0, 0x0000000000000000ULL},
+  };
+  for (const auto& [p, expected] : bernoulli) {
+    uint64_t bits = 0;
+    for (int i = 0; i < 64; ++i) bits |= uint64_t{rng.Bernoulli(p)} << i;
+    EXPECT_EQ(bits, expected) << "p = " << p;
+  }
+  // Split derives substreams without advancing the parent.
+  EXPECT_EQ(rng.Split(0).Next(), 0x26ac3bd3440a05b2ULL);
+  EXPECT_EQ(rng.Split(1).Next(), 0x4f74969008e169f7ULL);
+  EXPECT_EQ(rng.Split(63).Next(), 0x2282586f9e223fe4ULL);
+  EXPECT_EQ(rng.Next(), 0x564c42590c5cccb2ULL);
 }
 
 // ---------------------------------------------------------------------------

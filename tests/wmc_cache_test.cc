@@ -277,6 +277,59 @@ TEST(WmcCacheTest, DpllSharedCacheHitIsBitIdentical) {
   EXPECT_EQ(warm.stats().decisions, 0u);  // answered without any branching
 }
 
+// H0's lineage over the complete n x n instance: R_x = x, T_y = n + y,
+// S_xy = 2n + x * n + y, one term R_x & S_xy & T_y per pair.
+NodeId H0Lineage(FormulaManager* m, VarId n) {
+  std::vector<NodeId> terms;
+  for (VarId x = 0; x < n; ++x) {
+    for (VarId y = 0; y < n; ++y) {
+      terms.push_back(m->And(
+          {m->Var(x), m->Var(2 * n + x * n + y), m->Var(n + y)}));
+    }
+  }
+  return m->Or(std::move(terms));
+}
+
+TEST(WmcCacheTest, DpllStopsProbingAfterItsMissBudget) {
+  constexpr VarId kN = 5;
+  Rng rng(13);
+  std::vector<double> probs;
+  for (VarId v = 0; v < 2 * kN + kN * kN; ++v) {
+    probs.push_back(0.1 + 0.8 * rng.NextDouble());
+  }
+  const WeightMap weights = WeightsFromProbabilities(probs);
+
+  FormulaManager m1;
+  DpllCounter plain(&m1, weights, {});
+  auto expected = plain.Compute(H0Lineage(&m1, kN));
+  ASSERT_TRUE(expected.ok());
+
+  // A cold run misses exactly its budget, then stops probing: the search
+  // goes on and publishes only the nodes it probed.
+  WmcCache cache;
+  DpllOptions with_cache;
+  with_cache.shared_cache = &cache;
+  FormulaManager m2;
+  DpllCounter cold(&m2, weights, with_cache);
+  auto first = cold.Compute(H0Lineage(&m2, kN));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, *expected);
+  EXPECT_EQ(cold.stats().shared_misses, DpllCounter::kSharedMissBudget);
+  EXPECT_EQ(cold.stats().shared_hits, 0u);
+  EXPECT_EQ(cold.stats().decisions, plain.stats().decisions);
+  EXPECT_LE(cache.stats().inserts, DpllCounter::kSharedMissBudget);
+
+  // The root was the first probe, so a fresh manager hits it at once.
+  FormulaManager m3;
+  DpllCounter warm(&m3, weights, with_cache);
+  auto second = warm.Compute(H0Lineage(&m3, kN));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, *expected);
+  EXPECT_EQ(warm.stats().shared_hits, 1u);
+  EXPECT_EQ(warm.stats().shared_misses, 0u);
+  EXPECT_EQ(warm.stats().decisions, 0u);
+}
+
 TEST(WmcCacheTest, DifferentWeightsNeverShareEntries) {
   auto build = [](FormulaManager* m) {
     return m->Or(m->And(m->Var(0), m->Var(1)), m->And(m->Var(1), m->Var(2)));
