@@ -18,35 +18,9 @@ namespace pdb {
 
 namespace {
 
-// Assigns one Boolean variable per (relation, row), lazily. Used by the FO
-// grounder, which addresses tuples by value rather than by row id.
-class VarTable {
- public:
-  VarId VarFor(const std::string& relation, size_t row, double prob) {
-    auto key = std::make_pair(relation, row);
-    auto it = ids_.find(key);
-    if (it != ids_.end()) return it->second;
-    VarId id = static_cast<VarId>(vars_.size());
-    ids_.emplace(std::move(key), id);
-    vars_.push_back({relation, row});
-    probs_.push_back(prob);
-    return id;
-  }
-
-  std::vector<LineageVar> TakeVars() { return std::move(vars_); }
-  std::vector<double> TakeProbs() { return std::move(probs_); }
-
- private:
-  std::map<std::pair<std::string, size_t>, VarId> ids_;
-  std::vector<LineageVar> vars_;
-  std::vector<double> probs_;
-};
-
-// The UCQ grounder's variable table: per-relation dense row -> VarId
-// arrays instead of an ordered map of (name, row) pairs, so the per-match
-// hot path is one vector index instead of a string-keyed tree walk.
-// Assignment order (and hence VarId numbering) is identical to VarTable's
-// first-use order as long as rows are visited in the same sequence.
+// Assigns one Boolean variable per (relation, row), lazily, in first-use
+// order: per-relation dense row -> VarId arrays, so the per-match hot path
+// is one vector index. Both grounders number tuples through it.
 class DenseVarTable {
  public:
   VarId VarFor(const Relation* rel, size_t row) {
@@ -75,7 +49,7 @@ class DenseVarTable {
 class FoGrounder {
  public:
   FoGrounder(const Database& db, const std::vector<Value>& domain,
-             FormulaManager* mgr, VarTable* vars)
+             FormulaManager* mgr, DenseVarTable* vars)
       : db_(db), domain_(domain), mgr_(mgr), vars_(vars) {}
 
   Result<NodeId> Ground(const FoPtr& f,
@@ -157,13 +131,13 @@ class FoGrounder {
     double p = rel->ProbOf(tuple);  // missing tuple: probability 0
     if (p == 1.0) return mgr_->True();
     if (p == 0.0) return mgr_->False();
-    return mgr_->Var(vars_->VarFor(atom.predicate, *rel->Find(tuple), p));
+    return mgr_->Var(vars_->VarFor(rel, *rel->Find(tuple)));
   }
 
   const Database& db_;
   const std::vector<Value>& domain_;
   FormulaManager* mgr_;
-  VarTable* vars_;
+  DenseVarTable* vars_;
 };
 
 // The naive backtracking CQ matcher: joins atoms in syntactic order,
@@ -811,7 +785,7 @@ Result<Lineage> BuildLineage(const FoPtr& sentence, const Database& db,
     active = db.ActiveDomain();
     domain = &active;
   }
-  VarTable vars;
+  DenseVarTable vars;
   FoGrounder grounder(db, *domain, mgr, &vars);
   std::map<std::string, Value> env;
   PDB_ASSIGN_OR_RETURN(NodeId root, grounder.Ground(sentence, &env));
@@ -857,44 +831,6 @@ Result<JoinPlanProfile> PlanCqJoin(const ConjunctiveQuery& cq,
   return ProfileOf(plan);
 }
 
-Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
-                                FormulaManager* mgr,
-                                const GroundingOptions& options) {
-  ExecContext* exec = options.exec;
-  const size_t nodes_before = mgr->NumNodes();
-  DenseVarTable vars;
-  std::vector<NodeId> disjunct_nodes;
-  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    PDB_ASSIGN_OR_RETURN(CompiledJoin plan,
-                         CompileJoin(cq, db, options));
-    JoinExecutor ex(plan, exec);
-    ex.Run();
-    const size_t k = plan.num_atoms;
-    std::vector<NodeId> term_nodes;
-    term_nodes.reserve(ex.num_matches());
-    std::vector<NodeId> lits;
-    ex.ForEach([&](const uint32_t* rows) {
-      lits.clear();
-      for (size_t i = 0; i < k; ++i) {
-        const Relation* rel = plan.by_atom[i];
-        double p = rel->prob(rows[i]);
-        if (p == 1.0) continue;  // certain tuple contributes no literal
-        lits.push_back(mgr->Var(vars.VarFor(rel, rows[i])));
-      }
-      term_nodes.push_back(mgr->And(lits));
-    });
-    disjunct_nodes.push_back(mgr->Or(std::move(term_nodes)));
-  }
-  Lineage lineage;
-  lineage.root = mgr->Or(std::move(disjunct_nodes));
-  lineage.vars = vars.TakeVars();
-  lineage.probs = vars.TakeProbs();
-  if (exec != nullptr) {
-    exec->Add(ExecCounter::kLineageNodes, mgr->NumNodes() - nodes_before);
-  }
-  return lineage;
-}
-
 Result<DnfLineage> BuildUcqDnf(const Ucq& ucq, const Database& db,
                                const GroundingOptions& options) {
   DenseVarTable vars;
@@ -905,6 +841,7 @@ Result<DnfLineage> BuildUcqDnf(const Ucq& ucq, const Database& db,
     JoinExecutor ex(plan, options.exec);
     ex.Run();
     const size_t k = plan.num_atoms;
+    out.terms.reserve(out.terms.size() + ex.num_matches());
     ex.ForEach([&](const uint32_t* rows) {
       std::vector<VarId> term;
       term.reserve(k);
@@ -918,11 +855,45 @@ Result<DnfLineage> BuildUcqDnf(const Ucq& ucq, const Database& db,
   }
   out.vars = vars.TakeVars();
   out.probs = vars.TakeProbs();
-  if (options.exec != nullptr) {
-    options.exec->Add(ExecCounter::kLineageNodes,
-                      out.terms.size() + out.vars.size());
-  }
   return out;
+}
+
+Lineage LineageOfDnf(const DnfLineage& dnf, FormulaManager* mgr) {
+  // A term's VarIds are sorted and the DNF numbers variables in first-use
+  // order, so this walk meets variables in DNF-id order: the renumbering,
+  // and the order Var and And nodes are interned in, are those of a walk
+  // over the matches' atoms.
+  constexpr VarId kUnnumbered = ~VarId{0};
+  std::vector<VarId> renumbered(dnf.vars.size(), kUnnumbered);
+  Lineage lineage;
+  lineage.vars.reserve(dnf.vars.size());
+  lineage.probs.reserve(dnf.probs.size());
+  std::vector<NodeId> term_nodes;
+  term_nodes.reserve(dnf.terms.size());
+  std::vector<NodeId> lits;
+  for (const std::vector<VarId>& term : dnf.terms) {
+    lits.clear();
+    for (VarId v : term) {
+      if (dnf.probs[v] == 1.0) continue;  // certain tuple: no literal
+      VarId& id = renumbered[v];
+      if (id == kUnnumbered) {
+        id = static_cast<VarId>(lineage.vars.size());
+        lineage.vars.push_back(dnf.vars[v]);
+        lineage.probs.push_back(dnf.probs[v]);
+      }
+      lits.push_back(mgr->Var(id));
+    }
+    term_nodes.push_back(mgr->And(lits));
+  }
+  lineage.root = mgr->Or(std::move(term_nodes));
+  return lineage;
+}
+
+Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
+                                FormulaManager* mgr,
+                                const GroundingOptions& options) {
+  PDB_ASSIGN_OR_RETURN(DnfLineage dnf, BuildUcqDnf(ucq, db, options));
+  return LineageOfDnf(dnf, mgr);
 }
 
 }  // namespace pdb

@@ -91,13 +91,6 @@ Result<Lineage> BuildLineage(const FoPtr& sentence, const Database& db,
                              FormulaManager* mgr,
                              const std::vector<Value>* domain = nullptr);
 
-/// Grounds a UCQ by join-style enumeration of satisfying assignments —
-/// equivalent to BuildLineage on the UCQ's FO form but polynomial in the
-/// data rather than in domain^#vars. The result is a DNF.
-Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
-                                FormulaManager* mgr,
-                                const GroundingOptions& options = {});
-
 /// One match of a CQ against the database: for each atom (by index), the
 /// matched row in its relation.
 struct CqMatch {
@@ -130,17 +123,40 @@ Status EnumerateCqMatchesReference(
     const ConjunctiveQuery& cq, const Database& db,
     const std::function<void(const CqMatch&)>& callback);
 
-/// The DNF lineage as explicit term lists (one clause of VarIds per CQ
-/// match), sharing variable ids with `lineage_vars` bookkeeping. Useful for
-/// Karp-Luby sampling and for the dissociation lower bound, which needs the
-/// per-tuple occurrence counts k (paper §6).
+/// A UCQ's lineage F_{Q,D} as explicit term lists: one term per CQ match,
+/// disjunct by disjunct in match order, each term the sorted, distinct
+/// VarIds of the match's rows. Every matched tuple is a variable, certain
+/// ones (p = 1) included, numbered in first-use order over the matches'
+/// atoms. The one UCQ grounding: DPLL's formula (`LineageOfDnf`), the
+/// dissociated lower bound's occurrence counts k (paper §6;
+/// plans/bounds.h) and Karp–Luby's terms all read it.
 struct DnfLineage {
   std::vector<std::vector<VarId>> terms;
+  /// Metadata per VarId (index = VarId).
   std::vector<LineageVar> vars;
+  /// Marginal probability per VarId.
   std::vector<double> probs;
 };
+
+/// Grounds a UCQ by join-style enumeration of satisfying assignments —
+/// polynomial in the data rather than in domain^#vars — through the
+/// compiled join engine, one run per disjunct.
 Result<DnfLineage> BuildUcqDnf(const Ucq& ucq, const Database& db,
                                const GroundingOptions& options = {});
+
+/// DPLL's formula for a DNF lineage: an `Or` over the terms, each term the
+/// `And` of its variables. Certain tuples (p = 1) are DNF variables but not
+/// formula variables: they drop out of their terms, so a term of certain
+/// tuples alone is `true`, and an empty DNF is `false`. The other variables
+/// are renumbered in first-use order over the terms, so the result's
+/// `vars` and `probs` list formula variables only.
+Lineage LineageOfDnf(const DnfLineage& dnf, FormulaManager* mgr);
+
+/// `LineageOfDnf` of `BuildUcqDnf`: equivalent to BuildLineage on the UCQ's
+/// FO form, numbering variables in first-use order over the matches.
+Result<Lineage> BuildUcqLineage(const Ucq& ucq, const Database& db,
+                                FormulaManager* mgr,
+                                const GroundingOptions& options = {});
 
 }  // namespace pdb
 

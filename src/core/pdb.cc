@@ -145,26 +145,28 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
   // that the top-level spans account for the query's wall clock.
   std::optional<FormulaManager> mgr(std::in_place);
   Lineage lineage;
-  // UCQ-shaped sentences ground through the compiled join engine —
-  // polynomial in the data rather than domain^#vars, and it engages the
-  // cost-based atom order, the columnar executor, and EXPLAIN ANALYZE's
-  // join profile. Everything else (negation, universals) takes the FO
-  // grounder over the active domain. Hoisted out of the block because the
-  // Monte Carlo fallback below reuses the UCQ view.
+  // A UCQ-shaped sentence grounds once, through the compiled join engine,
+  // into its DNF lineage — polynomial in the data rather than
+  // domain^#vars, and it engages the cost-based atom order, the columnar
+  // executor, and EXPLAIN ANALYZE's join profile. DPLL's formula is built
+  // from that DNF, and the plan bounds and Karp–Luby below read the same
+  // DNF. Everything else (negation, universals) takes the FO grounder over
+  // the active domain.
   auto as_ucq = FoToUcq(sentence);
+  std::optional<DnfLineage> dnf;
   {
     TraceSpan lineage_span(trace, TracePhase::kLineage);
+    const size_t nodes_before = mgr->NumNodes();
     if (as_ucq.ok()) {
       GroundingOptions grounding;
       grounding.exec = ctx;
-      PDB_ASSIGN_OR_RETURN(lineage,
-                           BuildUcqLineage(*as_ucq, db_, &*mgr, grounding));
+      PDB_ASSIGN_OR_RETURN(dnf, BuildUcqDnf(*as_ucq, db_, grounding));
+      lineage = LineageOfDnf(*dnf, &*mgr);
     } else {
       PDB_ASSIGN_OR_RETURN(lineage, BuildLineage(sentence, db_, &*mgr));
-      // The FO grounder has no ExecContext plumbing of its own; account
-      // for its node production here so pdb_lineage_nodes_total covers the
-      // grounded-exact path, not just the UCQ engine.
-      if (ctx != nullptr) ctx->Add(ExecCounter::kLineageNodes, mgr->NumNodes());
+    }
+    if (ctx != nullptr) {
+      ctx->Add(ExecCounter::kLineageNodes, mgr->NumNodes() - nodes_before);
     }
     lineage_span.AddCounter("lineage_vars", lineage.vars.size());
   }
@@ -225,74 +227,58 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
 
   // 3. Approximation. Plan bounds when the query is a self-join-free CQ.
   std::optional<PlanBounds> bounds;
-  if (as_ucq.ok() && as_ucq->size() == 1 &&
+  if (dnf.has_value() && as_ucq->size() == 1 &&
       as_ucq->disjuncts()[0].IsSelfJoinFree()) {
-    auto computed =
-        ComputePlanBounds(as_ucq->disjuncts()[0], db_, /*max_vars=*/7, ctx);
+    auto computed = ComputePlanBounds(as_ucq->disjuncts()[0], db_,
+                                      /*max_vars=*/7, ctx, &*dnf);
     if (computed.ok()) bounds = *computed;
-  }
-  if (options.allow_monte_carlo && as_ucq.ok()) {
-    // UCQ lineages are monotone DNFs: Karp-Luby gives relative-error
-    // guarantees independent of how small the probability is.
-    GroundingOptions grounding;
-    grounding.exec = ctx;
-    auto dnf = BuildUcqDnf(*as_ucq, db_, grounding);
-    if (dnf.ok()) {
-      TraceSpan mc_span(trace, TracePhase::kMonteCarlo);
-      Rng rng(options.monte_carlo_seed);
-      Result<Estimate> estimate = Status::Internal("unreached");
-      if (options.monte_carlo_target_stderr > 0) {
-        AdaptiveSampleOptions adaptive;
-        adaptive.max_samples = options.monte_carlo_samples;
-        adaptive.target_std_error = options.monte_carlo_target_stderr;
-        estimate =
-            KarpLubyDnfAdaptive(dnf->terms, dnf->probs, adaptive, &rng, ctx);
-      } else {
-        estimate = KarpLubyDnf(dnf->terms, dnf->probs,
-                               options.monte_carlo_samples, &rng, ctx);
-      }
-      if (estimate.ok()) {
-        mc_span.AddCounter("samples", estimate->samples);
-        mc_span.AddCounter("dnf_terms", dnf->terms.size());
-        SetSampledAnswer(*estimate, bounds, &answer);
-        answer.method = InferenceMethod::kMonteCarlo;
-        answer.exact = false;
-        answer.explanation = fallback_note + StrFormat(
-            "Karp-Luby: %llu samples over %zu DNF terms, stderr %.2g",
-            static_cast<unsigned long long>(estimate->samples),
-            dnf->terms.size(), estimate->std_error);
-        if (bounds.has_value()) {
-          answer.explanation += StrFormat(
-              "; plan bounds [%.6g, %.6g] over %zu plans", bounds->lower,
-              bounds->upper, bounds->num_plans);
-        }
-        // Free the (failed) exact solver inside the open span — see the
-        // comment at `mgr`'s declaration.
-        counter.reset();
-        mgr.reset();
-        return answer;
-      }
-    }
   }
   if (options.allow_monte_carlo) {
     TraceSpan mc_span(trace, TracePhase::kMonteCarlo);
     Rng rng(options.monte_carlo_seed);
-    Estimate estimate =
-        NaiveMonteCarlo(&*mgr, lineage.root, lineage.probs,
-                        options.monte_carlo_samples, &rng, ctx);
-    mc_span.AddCounter("samples", estimate.samples);
+    Estimate estimate;
+    std::string method_note;
+    if (dnf.has_value()) {
+      // UCQ lineages are monotone DNFs: Karp-Luby gives relative-error
+      // guarantees independent of how small the probability is.
+      Result<Estimate> sampled = Status::Internal("unreached");
+      if (options.monte_carlo_target_stderr > 0) {
+        AdaptiveSampleOptions adaptive;
+        adaptive.max_samples = options.monte_carlo_samples;
+        adaptive.target_std_error = options.monte_carlo_target_stderr;
+        sampled =
+            KarpLubyDnfAdaptive(dnf->terms, dnf->probs, adaptive, &rng, ctx);
+      } else {
+        sampled = KarpLubyDnf(dnf->terms, dnf->probs,
+                              options.monte_carlo_samples, &rng, ctx);
+      }
+      PDB_ASSIGN_OR_RETURN(estimate, sampled);
+      mc_span.AddCounter("samples", estimate.samples);
+      mc_span.AddCounter("dnf_terms", dnf->terms.size());
+      method_note = StrFormat(
+          "Karp-Luby: %llu samples over %zu DNF terms, stderr %.2g",
+          static_cast<unsigned long long>(estimate.samples),
+          dnf->terms.size(), estimate.std_error);
+    } else {
+      estimate = NaiveMonteCarlo(&*mgr, lineage.root, lineage.probs,
+                                 options.monte_carlo_samples, &rng, ctx);
+      mc_span.AddCounter("samples", estimate.samples);
+      method_note = StrFormat(
+          "Monte Carlo: %llu samples, stderr %.2g",
+          static_cast<unsigned long long>(estimate.samples),
+          estimate.std_error);
+    }
     SetSampledAnswer(estimate, bounds, &answer);
     answer.method = InferenceMethod::kMonteCarlo;
     answer.exact = false;
-    answer.explanation = fallback_note + StrFormat(
-        "Monte Carlo: %llu samples, stderr %.2g",
-        static_cast<unsigned long long>(estimate.samples),
-        estimate.std_error);
+    answer.explanation = fallback_note + method_note;
     if (bounds.has_value()) {
       answer.explanation += StrFormat(
           "; plan bounds [%.6g, %.6g] over %zu plans", bounds->lower,
           bounds->upper, bounds->num_plans);
     }
+    // Free the (failed) exact solver inside the open span — see the
+    // comment at `mgr`'s declaration.
     counter.reset();
     mgr.reset();
     return answer;
@@ -315,9 +301,9 @@ Result<double> ProbDatabase::ConditionalProbability(
     const FoPtr& query, const FoPtr& evidence,
     const QueryOptions& options) const {
   FormulaManager mgr;
-  // Ground the conjunction and the evidence against one variable space:
-  // BuildLineage numbers variables per call, so ground the combined
-  // formula once and derive both roots from it via the shared manager.
+  // P(query | evidence) = P(query ∧ evidence) / P(evidence): the joint
+  // sentence grounds in `mgr`, and the evidence grounds again, on its own,
+  // in a second manager. Each grounding numbers its variables itself.
   FoPtr joint_sentence = Fo::And(query, evidence);
   PDB_ASSIGN_OR_RETURN(Lineage joint, BuildLineage(joint_sentence, db_, &mgr));
   DpllOptions dpll_options;

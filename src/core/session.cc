@@ -401,20 +401,16 @@ std::string Session::CacheKey(const FoPtr& sentence,
   // Only exact answers are cached, so the key covers every option that can
   // shape an exact answer's value *or* metadata (method/explanation/bounds):
   // the lifted preference, the DPLL decision budget, the Monte Carlo
-  // fallback toggle, and the lifted-engine knobs that decide whether lifted
+  // fallback toggle, and the lifted-engine knob that decides whether lifted
   // inference succeeds (and hence which engine is reported). Thread counts,
   // deadlines, and sampling parameters cannot change an exact answer. One
   // caveat: LiftedOptions::trace is a side channel — a cache hit skips the
   // derivation log the first execution would have appended.
-  return StrFormat("%d|%llu|%d|%d|%llu|%llu|", options.prefer_lifted ? 1 : 0,
+  return StrFormat("%d|%llu|%d|%d|", options.prefer_lifted ? 1 : 0,
                    static_cast<unsigned long long>(
                        options.max_dpll_decisions),
                    options.allow_monte_carlo ? 1 : 0,
-                   options.lifted.use_inclusion_exclusion ? 1 : 0,
-                   static_cast<unsigned long long>(
-                       options.lifted.max_ie_subsets),
-                   static_cast<unsigned long long>(
-                       options.lifted.max_depth)) +
+                   options.lifted.use_inclusion_exclusion ? 1 : 0) +
          sentence->ToString();
 }
 
@@ -807,7 +803,7 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
   PDB_RETURN_NOT_OK(executed);
   out.executed = true;
   out.trace = TraceData::FromTrace(*trace);
-  // Executed plans (candidate sweep / grounding / Monte Carlo re-ground).
+  // Executed plans (candidate sweep / grounding).
   // A lifted answer grounds nothing: keep the plan-only compile so the
   // atom-order table is still shown.
   out.plans = profile.plans();

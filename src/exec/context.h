@@ -60,7 +60,9 @@ struct ExecReport {
   uint64_t wmc_shared_evictions = 0;
   size_t wmc_shared_bytes = 0;  ///< resident bytes of the shared cache
   uint64_t lineage_matches = 0;  ///< CQ join matches enumerated
-  uint64_t lineage_nodes = 0;    ///< lineage formula nodes / DNF entries built
+  /// Formula nodes interned for the statement's lineage, by either
+  /// grounder (counted once per statement in core/pdb.cc).
+  uint64_t lineage_nodes = 0;
   uint64_t index_builds = 0;     ///< indexes built for joins, lifted, plans
   /// Index requests served by a cache: the session's, or the one a lifted
   /// call keeps for itself (storage/index_cache.h).

@@ -11,6 +11,11 @@ namespace pdb {
 
 namespace {
 
+// Largest number of subsets one inclusion–exclusion step expands.
+constexpr size_t kMaxIeSubsets = 4096;
+// Recursion depth guard.
+constexpr size_t kMaxDepth = 256;
+
 // Canonical cache key of a union of CQs: sorted canonical CQ strings.
 std::string UnionKey(const std::vector<ConjunctiveQuery>& disjuncts) {
   std::vector<std::string> keys;
@@ -81,6 +86,30 @@ ConjunctiveQuery MergeConjunction(
   return merged;
 }
 
+// Absorption: drops every item another one makes redundant — in a union
+// (`in_union`) an item that implies another, in a conjunction an item
+// implied by another — keeping the earlier of an equivalent pair.
+std::vector<ConjunctiveQuery> DropImplied(
+    std::vector<ConjunctiveQuery> items, bool in_union) {
+  // Whether items[i] is redundant next to items[j].
+  auto redundant = [&](size_t i, size_t j) {
+    return in_union ? CqImplies(items[i], items[j])
+                    : CqImplies(items[j], items[i]);
+  };
+  std::vector<bool> dropped(items.size(), false);
+  for (size_t i = 0; i < items.size(); ++i) {
+    for (size_t j = 0; j < items.size() && !dropped[i]; ++j) {
+      if (i == j || dropped[j]) continue;
+      if (redundant(i, j) && (!redundant(j, i) || j < i)) dropped[i] = true;
+    }
+  }
+  std::vector<ConjunctiveQuery> kept;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!dropped[i]) kept.push_back(std::move(items[i]));
+  }
+  return kept;
+}
+
 }  // namespace
 
 void LiftedEngine::Trace(size_t depth, const std::string& message) {
@@ -127,7 +156,7 @@ Result<ConjunctiveQuery> LiftedEngine::PreprocessCq(
 }
 
 Result<double> LiftedEngine::ComputeUnion(CqVec raw_disjuncts, size_t depth) {
-  if (depth > options_.max_depth) {
+  if (depth > kMaxDepth) {
     return Status::ResourceExhausted("lifted inference recursion too deep");
   }
   // --- Data-level simplification of each disjunct. ---
@@ -152,24 +181,7 @@ Result<double> LiftedEngine::ComputeUnion(CqVec raw_disjuncts, size_t depth) {
   }
 
   // --- Logic-level minimization (absorption). ---
-  std::vector<bool> dropped(disjuncts.size(), false);
-  for (size_t i = 0; i < disjuncts.size(); ++i) {
-    for (size_t j = 0; j < disjuncts.size() && !dropped[i]; ++j) {
-      if (i == j || dropped[j]) continue;
-      if (CqImplies(disjuncts[i], disjuncts[j])) {
-        // disjuncts[i] => disjuncts[j], so disjuncts[i] is absorbed; for
-        // equivalent pairs keep the earlier one.
-        if (!CqImplies(disjuncts[j], disjuncts[i]) || j < i) {
-          dropped[i] = true;
-        }
-      }
-    }
-  }
-  CqVec kept;
-  for (size_t i = 0; i < disjuncts.size(); ++i) {
-    if (!dropped[i]) kept.push_back(std::move(disjuncts[i]));
-  }
-  disjuncts = std::move(kept);
+  disjuncts = DropImplied(std::move(disjuncts), /*in_union=*/true);
 
   // --- Cache / cycle detection. ---
   const std::string key = UnionKey(disjuncts);
@@ -267,43 +279,7 @@ Result<double> LiftedEngine::ComputeUnion(CqVec raw_disjuncts, size_t depth) {
 
     // --- Inclusion-exclusion over the disjuncts. ---
     if (disjuncts.size() > 1 && options_.use_inclusion_exclusion) {
-      ++stats_.inclusion_exclusions;
-      const size_t m = disjuncts.size();
-      stats_.ie_max_width = std::max<uint64_t>(stats_.ie_max_width, m);
-      if (m > 20 || ((size_t{1} << m) - 1) > options_.max_ie_subsets) {
-        return Status::ResourceExhausted(
-            "inclusion-exclusion expansion too large");
-      }
-      Trace(depth, StrFormat("inclusion-exclusion over %zu disjuncts", m));
-      // Coefficient per canonical merged conjunction.
-      std::map<std::string, std::pair<int64_t, ConjunctiveQuery>> terms;
-      for (size_t mask = 1; mask < (size_t{1} << m); ++mask) {
-        std::vector<const ConjunctiveQuery*> subset;
-        for (size_t i = 0; i < m; ++i) {
-          if (mask & (size_t{1} << i)) subset.push_back(&disjuncts[i]);
-        }
-        int64_t sign = (subset.size() % 2 == 1) ? 1 : -1;
-        ConjunctiveQuery merged =
-            subset.size() == 1 ? *subset[0] : MergeConjunction(subset);
-        merged = MinimizeCq(merged);
-        std::string term_key = CanonicalCqString(merged);
-        auto [it, inserted] =
-            terms.emplace(term_key, std::make_pair(sign, std::move(merged)));
-        if (!inserted) it->second.first += sign;
-      }
-      double total = 0.0;
-      for (const auto& [term_key, coef_cq] : terms) {
-        ++stats_.ie_terms_total;
-        if (coef_cq.first == 0) {
-          ++stats_.ie_terms_cancelled;
-          Trace(depth + 1, "term cancelled: " + term_key);
-          continue;
-        }
-        PDB_ASSIGN_OR_RETURN(double p,
-                             ComputeUnion(CqVec{coef_cq.second}, depth + 1));
-        total += static_cast<double>(coef_cq.first) * p;
-      }
-      return total;
+      return InclusionExclusion(disjuncts, /*over_union=*/true, depth);
     }
 
     return Status::Unsupported(StrFormat(
@@ -316,28 +292,12 @@ Result<double> LiftedEngine::ComputeUnion(CqVec raw_disjuncts, size_t depth) {
 
 Result<double> LiftedEngine::ComputeConjunction(CqVec conjuncts,
                                                 size_t depth) {
-  if (depth > options_.max_depth) {
+  if (depth > kMaxDepth) {
     return Status::ResourceExhausted("lifted inference recursion too deep");
   }
   // Deduplicate equivalent conjuncts and drop implied ones: if Ci => Cj
   // then Cj is redundant in the conjunction.
-  std::vector<bool> dropped(conjuncts.size(), false);
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    for (size_t j = 0; j < conjuncts.size() && !dropped[i]; ++j) {
-      if (i == j || dropped[j]) continue;
-      if (CqImplies(conjuncts[j], conjuncts[i])) {
-        // conjuncts[j] => conjuncts[i]: drop i (keep earlier of equal pair).
-        if (!CqImplies(conjuncts[i], conjuncts[j]) || j < i) {
-          dropped[i] = true;
-        }
-      }
-    }
-  }
-  CqVec kept;
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    if (!dropped[i]) kept.push_back(std::move(conjuncts[i]));
-  }
-  conjuncts = std::move(kept);
+  conjuncts = DropImplied(std::move(conjuncts), /*in_union=*/false);
   PDB_CHECK(!conjuncts.empty());
   if (conjuncts.size() == 1) {
     return ComputeUnion(std::move(conjuncts), depth);
@@ -347,40 +307,57 @@ Result<double> LiftedEngine::ComputeConjunction(CqVec conjuncts,
         "conjunction of correlated subqueries requires the "
         "inclusion-exclusion rule (disabled)");
   }
+  return InclusionExclusion(conjuncts, /*over_union=*/false, depth);
+}
+
+Result<double> LiftedEngine::InclusionExclusion(const CqVec& items,
+                                                bool over_union,
+                                                size_t depth) {
   ++stats_.inclusion_exclusions;
-  const size_t k = conjuncts.size();
-  stats_.ie_max_width = std::max<uint64_t>(stats_.ie_max_width, k);
-  if (k > 20 || ((size_t{1} << k) - 1) > options_.max_ie_subsets) {
+  const size_t m = items.size();
+  stats_.ie_max_width = std::max<uint64_t>(stats_.ie_max_width, m);
+  if (m > 20 || ((size_t{1} << m) - 1) > kMaxIeSubsets) {
     return Status::ResourceExhausted(
         "inclusion-exclusion expansion too large");
   }
-  Trace(depth,
-        StrFormat("dual inclusion-exclusion over %zu conjuncts", k));
-  // P(AND_i C_i) = sum_{S != empty} (-1)^{|S|+1} P(OR_{i in S} C_i); terms
-  // keyed by the canonical union so cancellations are detected.
+  Trace(depth, over_union
+                   ? StrFormat("inclusion-exclusion over %zu disjuncts", m)
+                   : StrFormat("dual inclusion-exclusion over %zu conjuncts",
+                               m));
+  // P(OR_i C_i) = sum_{S != empty} (-1)^{|S|+1} P(AND_{i in S} C_i), each
+  // term one merged, minimized CQ; dually P(AND_i C_i) sums P(OR_{i in S}
+  // C_i), each term the subset's union. Terms are keyed by their canonical
+  // union, so equivalent terms share one coefficient and cancellations are
+  // detected.
   std::map<std::string, std::pair<int64_t, CqVec>> terms;
-  for (size_t mask = 1; mask < (size_t{1} << k); ++mask) {
-    CqVec subset;
-    for (size_t i = 0; i < k; ++i) {
-      if (mask & (size_t{1} << i)) subset.push_back(conjuncts[i]);
+  for (size_t mask = 1; mask < (size_t{1} << m); ++mask) {
+    std::vector<const ConjunctiveQuery*> subset;
+    for (size_t i = 0; i < m; ++i) {
+      if (mask & (size_t{1} << i)) subset.push_back(&items[i]);
     }
     int64_t sign = (subset.size() % 2 == 1) ? 1 : -1;
-    std::string term_key = UnionKey(subset);
+    CqVec term;
+    if (over_union) {
+      term.push_back(MinimizeCq(
+          subset.size() == 1 ? *subset[0] : MergeConjunction(subset)));
+    } else {
+      for (const ConjunctiveQuery* cq : subset) term.push_back(*cq);
+    }
+    std::string term_key = UnionKey(term);
     auto [it, inserted] =
-        terms.emplace(term_key, std::make_pair(sign, std::move(subset)));
+        terms.emplace(term_key, std::make_pair(sign, std::move(term)));
     if (!inserted) it->second.first += sign;
   }
   double total = 0.0;
-  for (const auto& [term_key, coef_union] : terms) {
+  for (const auto& [term_key, coef_term] : terms) {
     ++stats_.ie_terms_total;
-    if (coef_union.first == 0) {
+    if (coef_term.first == 0) {
       ++stats_.ie_terms_cancelled;
       Trace(depth + 1, "term cancelled: " + term_key);
       continue;
     }
-    PDB_ASSIGN_OR_RETURN(double p,
-                         ComputeUnion(coef_union.second, depth + 1));
-    total += static_cast<double>(coef_union.first) * p;
+    PDB_ASSIGN_OR_RETURN(double p, ComputeUnion(coef_term.second, depth + 1));
+    total += static_cast<double>(coef_term.first) * p;
   }
   return total;
 }

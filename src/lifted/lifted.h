@@ -45,10 +45,6 @@ struct LiftedOptions {
   /// Disable to ablate the inclusion–exclusion rule (Q_J then fails; see
   /// bench_inclusion_exclusion).
   bool use_inclusion_exclusion = true;
-  /// Largest number of subsets expanded by one inclusion–exclusion step.
-  size_t max_ie_subsets = 4096;
-  /// Recursion depth guard.
-  size_t max_depth = 256;
   /// Optional human-readable derivation log (appended, indented by depth).
   std::vector<std::string>* trace = nullptr;
 };
@@ -90,6 +86,10 @@ class LiftedEngine {
 
   Result<double> ComputeUnion(CqVec disjuncts, size_t depth);
   Result<double> ComputeConjunction(CqVec conjuncts, size_t depth);
+  /// Inclusion–exclusion (rule 10) over a union's disjuncts
+  /// (`over_union`) or, dually, over a conjunction's conjuncts.
+  Result<double> InclusionExclusion(const CqVec& items, bool over_union,
+                                    size_t depth);
   Result<double> GroundSeparator(const CqVec& disjuncts,
                                  const std::vector<std::string>& roots,
                                  size_t depth);

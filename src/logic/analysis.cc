@@ -1,34 +1,15 @@
 #include "logic/analysis.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string_view>
 
 #include "util/check.h"
 #include "util/string_util.h"
+#include "util/union_find.h"
 
 namespace pdb {
 
 namespace {
-
-// Union-find over 0..n-1.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<size_t> parent_;
-};
 
 // at(v): indices of atoms containing variable v.
 std::map<std::string, std::set<size_t>> AtomsOfVariables(

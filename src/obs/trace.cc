@@ -175,23 +175,6 @@ TraceData TraceData::FromTrace(const QueryTrace& trace) {
 }
 
 std::string TraceData::ToJson() const {
-  // Counter names come from engine call sites and are ASCII identifiers, so
-  // escaping only needs the JSON specials.
-  auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += StrFormat("\\u%04x", c);
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  };
   std::string out = StrFormat("{\"total_ns\":%llu,\"spans\":[",
                               static_cast<unsigned long long>(total_ns));
   for (size_t i = 0; i < spans.size(); ++i) {
@@ -205,7 +188,7 @@ std::string TraceData::ToJson() const {
     for (size_t c = 0; c < span.counters.size(); ++c) {
       out += StrFormat(
           "%s{\"name\":\"%s\",\"value\":%llu}", c == 0 ? "" : ",",
-          escape(span.counters[c].name).c_str(),
+          JsonEscape(span.counters[c].name).c_str(),
           static_cast<unsigned long long>(span.counters[c].value));
     }
     out += "]}";

@@ -1,44 +1,48 @@
 #include "plans/bounds.h"
 
 #include <cmath>
-#include <map>
 
 #include "boolean/lineage.h"
 #include "logic/analysis.h"
 
 namespace pdb {
 
-Result<Database> DissociateForLowerBound(const ConjunctiveQuery& cq,
+Result<Database> DissociateForLowerBound(const DnfLineage& dnf,
                                          const Database& db) {
-  // Occurrence counts k per (relation, row) across the lineage DNF.
-  std::map<std::pair<std::string, size_t>, size_t> counts;
-  PDB_RETURN_NOT_OK(EnumerateCqMatches(cq, db, [&](const CqMatch& match) {
-    // A tuple matched by several atoms of one term still occurs once in
-    // that term; deduplicate within the match.
-    std::map<std::pair<std::string, size_t>, bool> seen;
-    for (const LineageVar& lv : match.atom_rows) {
-      seen[{lv.relation, lv.row}] = true;
-    }
-    for (const auto& [key, unused] : seen) ++counts[key];
-  }));
+  // Occurrence count k per variable across the DNF's terms. A term lists
+  // a tuple once, however many atoms of its match the tuple filled.
+  std::vector<size_t> counts(dnf.vars.size(), 0);
+  for (const std::vector<VarId>& term : dnf.terms) {
+    for (VarId v : term) ++counts[v];
+  }
   Database dissociated = db;
-  for (const auto& [key, k] : counts) {
-    if (k <= 1) continue;
+  for (VarId v = 0; v < counts.size(); ++v) {
+    if (counts[v] <= 1) continue;
+    const LineageVar& tuple = dnf.vars[v];
     PDB_ASSIGN_OR_RETURN(Relation * rel,
-                         dissociated.GetMutable(key.first));
-    double p = rel->prob(key.second);
-    rel->set_prob(key.second,
-                  1.0 - std::pow(1.0 - p, 1.0 / static_cast<double>(k)));
+                         dissociated.GetMutable(tuple.relation));
+    rel->set_prob(tuple.row,
+                  1.0 - std::pow(1.0 - dnf.probs[v],
+                                 1.0 / static_cast<double>(counts[v])));
   }
   return dissociated;
 }
 
 Result<PlanBounds> ComputePlanBounds(const ConjunctiveQuery& cq,
                                      const Database& db, size_t max_vars,
-                                     ExecContext* exec) {
+                                     ExecContext* exec,
+                                     const DnfLineage* lineage) {
   PDB_ASSIGN_OR_RETURN(std::vector<PlanPtr> plans,
                        EnumerateAllPlans(cq, max_vars));
-  PDB_ASSIGN_OR_RETURN(Database dissociated, DissociateForLowerBound(cq, db));
+  DnfLineage grounded;
+  if (lineage == nullptr) {
+    GroundingOptions grounding;
+    grounding.exec = exec;
+    PDB_ASSIGN_OR_RETURN(grounded, BuildUcqDnf(Ucq({cq}), db, grounding));
+    lineage = &grounded;
+  }
+  PDB_ASSIGN_OR_RETURN(Database dissociated,
+                       DissociateForLowerBound(*lineage, db));
   PlanBounds bounds;
   bounds.num_plans = plans.size();
   bounds.lower = 0.0;

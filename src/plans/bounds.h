@@ -21,10 +21,15 @@
 
 namespace pdb {
 
-/// The dissociated database D1 for `cq` over `db`: every tuple probability
-/// p becomes 1 - (1-p)^{1/k} where k is the number of DNF lineage terms the
-/// tuple occurs in (tuples outside the lineage keep their probability).
-Result<Database> DissociateForLowerBound(const ConjunctiveQuery& cq,
+struct DnfLineage;
+
+/// The dissociated database D1 for a query whose DNF lineage over `db` is
+/// `dnf` (`BuildUcqDnf`): every tuple probability p becomes
+/// 1 - (1-p)^{1/k}, where k is the number of the DNF's terms the tuple's
+/// variable occurs in. Tuples outside the lineage, and tuples in one term
+/// only, keep their probability; only the relations that change are
+/// cloned.
+Result<Database> DissociateForLowerBound(const DnfLineage& dnf,
                                          const Database& db);
 
 /// Result of the bound computation.
@@ -38,10 +43,14 @@ struct PlanBounds {
 
 /// Evaluates all plans (bounded enumeration) to produce the tightest
 /// oblivious bounds for a self-join-free Boolean CQ. The plans run with
-/// `exec` (see `ExecutePlan`).
+/// `exec` (see `ExecutePlan`). The lower bound's dissociation reads
+/// `lineage`, the CQ's DNF lineage over `db`, when the caller has grounded
+/// it already; otherwise the CQ is grounded here through `BuildUcqDnf`
+/// with `exec`.
 Result<PlanBounds> ComputePlanBounds(const ConjunctiveQuery& cq,
                                      const Database& db, size_t max_vars = 7,
-                                     ExecContext* exec = nullptr);
+                                     ExecContext* exec = nullptr,
+                                     const DnfLineage* lineage = nullptr);
 
 }  // namespace pdb
 

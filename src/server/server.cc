@@ -30,6 +30,11 @@ namespace pdb {
 namespace {
 
 constexpr int kAcceptBacklog = 64;
+/// Concurrent connections; an accept beyond this is answered 503 and
+/// closed immediately.
+constexpr size_t kMaxConnections = 128;
+/// Keep-alive connections idle longer than this are closed.
+constexpr uint64_t kIdleTimeoutMs = 30'000;
 constexpr int kRecvTimeoutMs = 200;
 constexpr size_t kRecvBufferBytes = 8192;
 /// Rows per WriteBatch on the /ingest path: large enough that WAL framing
@@ -328,7 +333,7 @@ void PdbServer::AcceptLoop() {
       std::lock_guard<std::mutex> lock(conn_mu_);
       active = connections_.size();
     }
-    if (active >= options_.max_connections) {
+    if (active >= kMaxConnections) {
       // Over the connection cap: shed at the listener with a one-shot 503
       // rather than letting the kernel queue grow silently.
       connections_dropped_->Add(1);
@@ -434,7 +439,7 @@ void PdbServer::ServeConnection(uint64_t id, int fd) {
       keep_open = false;  // peer closed
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       idle_ms += kRecvTimeoutMs;
-      if (idle_ms >= options_.idle_timeout_ms) {
+      if (idle_ms >= kIdleTimeoutMs) {
         // Mid-request stalls get a 408 so the client learns why; an idle
         // keep-alive connection is just closed.
         if (!parser.idle()) {
@@ -693,7 +698,7 @@ bool PdbServer::HandleIngest(int fd, HttpRequestParser* parser,
       return false;
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       idle_ms += kRecvTimeoutMs;
-      if (idle_ms >= options_.idle_timeout_ms) {
+      if (idle_ms >= kIdleTimeoutMs) {
         return abort_request(408, "timed out waiting for request body");
       }
     } else if (errno != EINTR) {
@@ -913,7 +918,7 @@ bool PdbServer::HandleQuery(int fd, const HttpRequest& request,
 
   // Per-request wall-clock budget, clamped so a client cannot opt out of
   // the server's ceiling (and "no deadline" counts as exceeding it).
-  uint64_t deadline_ms = options_.default_deadline_ms;
+  uint64_t deadline_ms = 0;
   if (const std::string* header = request.FindHeader("x-deadline-ms")) {
     if (!ParseDecimalHeader(*header, &deadline_ms)) {
       return SendError(fd, 400, "malformed X-Deadline-Ms",

@@ -2,7 +2,7 @@
 /// \brief pdbd: an HTTP/1.1 network front-end for the query engine.
 ///
 /// Architecture (DESIGN.md §4f): a listener thread accepts connections and
-/// hands each to its own connection thread (bounded by `max_connections`);
+/// hands each to its own connection thread (at most 128 at once);
 /// every `POST /query` passes the `AdmissionController` gate before it may
 /// execute — saturation sheds the request as a fast HTTP 429 with
 /// Retry-After — and then runs synchronously on the connection thread
@@ -71,23 +71,16 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via `port()`).
   uint16_t port = 0;
-  /// Concurrent connections; an accept beyond this is answered 503 and
-  /// closed immediately.
-  size_t max_connections = 128;
   /// Query admission gate (concurrency cap + bounded wait queue).
   AdmissionOptions admission;
   /// Per-client session pool. `session.num_threads` defaults to 1 here —
   /// each admitted query runs sequentially on its connection thread, so
   /// parallelism is governed by admission, not multiplied per client.
   SessionPoolOptions sessions = DefaultServerSessions();
-  /// Deadline applied to queries that send no X-Deadline-Ms (0 = none).
-  uint64_t default_deadline_ms = 0;
   /// Upper clamp on client-requested deadlines (0 = unclamped).
   uint64_t max_deadline_ms = 60'000;
   /// How long Shutdown waits for in-flight requests before cancelling.
   uint64_t drain_timeout_ms = 5'000;
-  /// Keep-alive connections idle longer than this are closed.
-  uint64_t idle_timeout_ms = 30'000;
   HttpLimits http;
   /// Extra registry merged into the /metrics exposition (not owned; must
   /// outlive the server). pdbd points this at the durable layer's registry

@@ -4,10 +4,10 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
-#include <numeric>
 
 #include "util/check.h"
 #include "util/string_util.h"
+#include "util/union_find.h"
 
 namespace pdb {
 
@@ -309,25 +309,6 @@ class SqlParser {
   size_t pos_ = 0;
 };
 
-// Union-find over variable slots for equality conditions.
-class SlotUnionFind {
- public:
-  explicit SlotUnionFind(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<size_t> parent_;
-};
-
 }  // namespace
 
 Result<SqlSelect> ParseSql(const std::string& text) {
@@ -440,7 +421,7 @@ Result<CompiledSql> CompileSql(const SqlSelect& select, const Database& db) {
   };
 
   // Equalities: unify slots, or pin a constant to a slot class.
-  SlotUnionFind uf(num_slots);
+  UnionFind uf(num_slots);
   std::map<size_t, Value> pinned;  // representative slot -> constant
   auto pin = [&](size_t slot, const Value& value) -> Status {
     size_t root = uf.Find(slot);

@@ -756,15 +756,24 @@ Status DurableDatabase::CommitBatch(WriteBatch* batch) {
   // entered (an early exit on "everyone is queued" misfires: the in-flight
   // count transiently dips while a committed writer hands back, shrinking
   // groups); it releases the queue lock so stragglers can enqueue behind
-  // the leader. A lone writer skips the window entirely.
-  if (options_.group_commit_window_us > 0 &&
-      options_.sync_mode == SyncMode::kAlways &&
+  // the leader. Without a window the leader still yields its CPU once, so
+  // siblings that are runnable but not scheduled (the last group's
+  // followers, just woken) enqueue now rather than after this commit: on a
+  // box with fewer cores than writers, a leader that holds its core would
+  // otherwise commit alone until preempted. A lone writer skips both.
+  if (options_.sync_mode == SyncMode::kAlways &&
       writers_.size() < inflight_writers_.load(std::memory_order_relaxed)) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.group_commit_window_us);
-    while (writers_cv_.wait_until(queue_lock, deadline) !=
-           std::cv_status::timeout) {
+    if (options_.group_commit_window_us > 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::microseconds(options_.group_commit_window_us);
+      while (writers_cv_.wait_until(queue_lock, deadline) !=
+             std::cv_status::timeout) {
+      }
+    } else {
+      queue_lock.unlock();
+      std::this_thread::yield();
+      queue_lock.lock();
     }
   }
 
@@ -957,7 +966,10 @@ Status DurableDatabase::WriteCheckpointFence(CheckpointFence fence) {
         remove = it != wal_seqs.end() && *it <= oldest_retained + 1;
       } else if (name.size() > 4 &&
                  name.compare(name.size() - 4, 4, ".tmp") == 0) {
-        remove = true;  // stray temp from an interrupted checkpoint
+        // A stray temp from an interrupted checkpoint. The component
+        // store's temp stays: a spill may be writing it right now, and the
+        // next spill rewrites it anyway.
+        remove = name != kWmcStoreTmpName;
       }
       if (remove) {
         Status removed = env_->RemoveFile(JoinPath(dir_, name));
@@ -1034,19 +1046,14 @@ Status DurableDatabase::SyncWal() {
 }
 
 Status DurableDatabase::SpillWmcCache(const WmcCache& cache) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!io_error_.ok()) {
-    return Status::FailedPrecondition(
-        "database is read-only after an I/O error: " + io_error_.ToString());
-  }
+  // The store is a cache beside the WAL: writers never wait for a spill,
+  // and a failed one leaves the log, and the database, writable.
+  std::lock_guard<std::mutex> lock(wmc_store_mu_);
   std::vector<std::pair<WmcCache::Key, double>> entries = cache.Export();
 
   const std::string tmp_path = JoinPath(dir_, kWmcStoreTmpName);
   auto file = env_->NewWritableFile(tmp_path);
-  if (!file.ok()) {
-    SetIoErrorLocked(file.status());
-    return file.status();
-  }
+  if (!file.ok()) return file.status();
   LogWriter writer(file->get());
   std::string record;
   PutFixed32(&record, kWmcStoreMagic);
@@ -1069,17 +1076,14 @@ Status DurableDatabase::SpillWmcCache(const WmcCache& cache) {
   if (status.ok()) {
     status = env_->RenameFile(tmp_path, JoinPath(dir_, kWmcStoreName));
   }
-  if (!status.ok()) {
-    SetIoErrorLocked(status);
-    return status;
-  }
+  PDB_RETURN_NOT_OK(status);
   wmc_store_spills_->Add(1);
   wmc_store_entries_->Set(static_cast<int64_t>(entries.size()));
   return Status::OK();
 }
 
 Result<uint64_t> DurableDatabase::LoadWmcCache(WmcCache* cache) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(wmc_store_mu_);
   const std::string path = JoinPath(dir_, kWmcStoreName);
   if (!env_->FileExists(path)) return uint64_t{0};
   std::string contents;

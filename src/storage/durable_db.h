@@ -126,7 +126,8 @@ struct DurableOptions {
   /// is queued, and a lone writer never waits — an idle or single-writer
   /// workload pays no added latency. Only consulted under
   /// `SyncMode::kAlways` (without fsyncs there is nothing to amortize).
-  /// 0 (default) commits immediately.
+  /// 0 (default) does not wait: the leader only yields its CPU once, so
+  /// runnable siblings can enqueue, then commits.
   uint32_t group_commit_window_us = 0;
 };
 
@@ -206,7 +207,11 @@ class DurableDatabase {
   Status SyncWal();
 
   /// Atomically rewrites the sidecar component store with every entry of
-  /// `cache` (signature, weight fingerprint, value).
+  /// `cache` (signature, weight fingerprint, value): a temp file, fsync,
+  /// then rename. Spills and loads serialize on their own mutex and never
+  /// block writers. The store is a cache beside the WAL, so a failed spill
+  /// returns its error and leaves the database writable (no read-only
+  /// latch); the previous store, if any, stays in place.
   Status SpillWmcCache(const WmcCache& cache);
 
   /// Loads the component store into `cache`; tolerates a torn tail (loads
@@ -373,6 +378,10 @@ class DurableDatabase {
   /// Serializes snapshot-file writes (explicit, auto, and background
   /// checkpoints) so fences are written in order. Never held under mu_.
   std::mutex checkpoint_mu_;
+
+  /// Serializes component-store spills and loads. Taken alone: never with
+  /// mu_ or checkpoint_mu_.
+  std::mutex wmc_store_mu_;
 
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;

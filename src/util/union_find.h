@@ -1,0 +1,35 @@
+/// \file union_find.h
+/// \brief Union-find over 0..n-1 with path halving: DPLL's component
+/// split, the CQ analyses' variable/symbol components, and the SQL
+/// compiler's equality classes.
+
+#ifndef PDB_UTIL_UNION_FIND_H_
+#define PDB_UTIL_UNION_FIND_H_
+
+#include <cstddef>
+#include <numeric>
+#include <vector>
+
+namespace pdb {
+
+class UnionFind {
+ public:
+  explicit UnionFind(size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), 0);
+  }
+  size_t Find(size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
+
+ private:
+  std::vector<size_t> parent_;
+};
+
+}  // namespace pdb
+
+#endif  // PDB_UTIL_UNION_FIND_H_

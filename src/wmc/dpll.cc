@@ -3,34 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "util/check.h"
 #include "util/string_util.h"
+#include "util/union_find.h"
 
 namespace pdb {
 
 namespace {
-
-// Union-find for component grouping.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<size_t> parent_;
-};
 
 #ifdef PDB_ASSERTIONS
 /// The component invariant: groups must partition the conjunction's

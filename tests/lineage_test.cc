@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "storage/index_cache.h"
 #include "test_common.h"
 #include "util/random.h"
+#include "wmc/dpll.h"
 
 namespace pdb {
 namespace {
@@ -124,6 +127,141 @@ TEST(CompiledGrounding, ReportsMissingRelationAndArityMismatch) {
   Status st = EnumerateCqMatches(arity, db, [](const CqMatch&) {});
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("arity mismatch"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One grounding: DPLL's formula is built from the DNF lineage
+// ---------------------------------------------------------------------------
+
+/// A UCQ lineage built straight from the reference matcher's matches, with
+/// no DNF in between: one `And` per match (certain tuples skipped) and one
+/// `Or` per disjunct, interned into `mgr` in match order, and variables
+/// numbered in first-use order over the matches' atoms.
+Lineage ReferenceUcqLineage(const Ucq& ucq, const Database& db,
+                            FormulaManager* mgr) {
+  Lineage out;
+  std::map<std::pair<std::string, size_t>, VarId> ids;
+  std::vector<NodeId> disjunct_nodes;
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    std::vector<NodeId> term_nodes;
+    Status st = EnumerateCqMatchesReference(cq, db, [&](const CqMatch& m) {
+      std::vector<NodeId> lits;
+      for (const LineageVar& lv : m.atom_rows) {
+        const double p = (*db.Get(lv.relation))->prob(lv.row);
+        if (p == 1.0) continue;
+        auto [it, inserted] = ids.emplace(std::make_pair(lv.relation, lv.row),
+                                          static_cast<VarId>(out.vars.size()));
+        if (inserted) {
+          out.vars.push_back(lv);
+          out.probs.push_back(p);
+        }
+        lits.push_back(mgr->Var(it->second));
+      }
+      term_nodes.push_back(mgr->And(std::move(lits)));
+    });
+    PDB_CHECK(st.ok());
+    disjunct_nodes.push_back(mgr->Or(std::move(term_nodes)));
+  }
+  out.root = mgr->Or(std::move(disjunct_nodes));
+  return out;
+}
+
+std::vector<std::pair<std::string, size_t>> VarKeys(const Lineage& lineage) {
+  std::vector<std::pair<std::string, size_t>> keys;
+  for (const LineageVar& lv : lineage.vars) {
+    keys.emplace_back(lv.relation, lv.row);
+  }
+  return keys;
+}
+
+// The differential generator's cases (differential_test's seed stream):
+// `BuildUcqLineage` must give the reference's variables, probabilities,
+// formula and DPLL bits. The cases are checked to cover certain and
+// impossible tuples, a row matched by two self-joined atoms, and unions of
+// one to three disjuncts.
+TEST(OneGrounding, UcqLineageMatchesReferenceOnDifferentialCases) {
+  size_t certain = 0, impossible = 0, shared_row = 0;
+  std::vector<size_t> by_width(4, 0);
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed * 6364136223846793005ull + 1442695040888963407ull);
+    for (int round = 0; round < 25; ++round) {
+      Database db = RandomVocabularyDb(&rng);
+      Ucq ucq = pdb::testing::RandomUcq(&rng);
+      SCOPED_TRACE(ucq.ToString());
+      ++by_width[ucq.size()];
+
+      FormulaManager mgr;
+      auto lineage = BuildUcqLineage(ucq, db, &mgr);
+      ASSERT_TRUE(lineage.ok()) << lineage.status().ToString();
+      FormulaManager ref_mgr;
+      Lineage reference = ReferenceUcqLineage(ucq, db, &ref_mgr);
+      EXPECT_EQ(VarKeys(*lineage), VarKeys(reference));
+      EXPECT_EQ(lineage->probs, reference.probs);
+      EXPECT_EQ(mgr.ToString(lineage->root), ref_mgr.ToString(reference.root));
+      auto p = DpllCounter(&mgr, WeightsFromProbabilities(lineage->probs))
+                   .Compute(lineage->root);
+      auto ref_p =
+          DpllCounter(&ref_mgr, WeightsFromProbabilities(reference.probs))
+              .Compute(reference.root);
+      ASSERT_TRUE(p.ok() && ref_p.ok());
+      EXPECT_EQ(*p, *ref_p);
+
+      // Coverage of the cases the renumbering must get right.
+      auto dnf = BuildUcqDnf(ucq, db);
+      ASSERT_TRUE(dnf.ok());
+      for (double prob : dnf->probs) {
+        certain += prob == 1.0;
+        impossible += prob == 0.0;
+      }
+      for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+        ASSERT_TRUE(EnumerateCqMatchesReference(cq, db, [&](const CqMatch& m) {
+                      std::set<std::pair<std::string, size_t>> rows;
+                      for (const LineageVar& lv : m.atom_rows) {
+                        rows.emplace(lv.relation, lv.row);
+                      }
+                      shared_row += rows.size() < m.atom_rows.size();
+                    }).ok());
+      }
+    }
+  }
+  EXPECT_GT(certain, 0u);
+  EXPECT_GT(impossible, 0u);
+  EXPECT_GT(shared_row, 0u);
+  EXPECT_GT(by_width[1], 0u);
+  EXPECT_GT(by_width[2], 0u);
+  EXPECT_GT(by_width[3], 0u);
+}
+
+TEST(OneGrounding, LineageOfDnfDropsCertainTuplesAndRenumbers) {
+  DnfLineage dnf;
+  dnf.vars = {{"R", 0}, {"S", 4}, {"T", 2}, {"R", 1}};
+  dnf.probs = {1.0, 0.5, 0.0, 0.25};
+  dnf.terms = {{0, 2}, {0, 1, 3}, {1}};
+  FormulaManager mgr;
+  Lineage lineage = LineageOfDnf(dnf, &mgr);
+  // R(0) is certain: no formula variable. The rest in first-use order:
+  // T(2), then S(4), then R(1).
+  EXPECT_EQ(VarKeys(lineage),
+            (std::vector<std::pair<std::string, size_t>>{
+                {"T", 2}, {"S", 4}, {"R", 1}}));
+  EXPECT_EQ(lineage.probs, (std::vector<double>{0.0, 0.5, 0.25}));
+  EXPECT_EQ(mgr.ToString(lineage.root), "(x0 | x1 | (x1 & x2))");
+}
+
+TEST(OneGrounding, LineageOfDnfAllCertainIsTrueAndEmptyIsFalse) {
+  DnfLineage certain;
+  certain.vars = {{"R", 0}, {"R", 1}};
+  certain.probs = {1.0, 1.0};
+  certain.terms = {{0}, {0, 1}};
+  FormulaManager mgr;
+  Lineage all_certain = LineageOfDnf(certain, &mgr);
+  EXPECT_EQ(mgr.ToString(all_certain.root), "true");
+  EXPECT_TRUE(all_certain.vars.empty());
+  EXPECT_TRUE(all_certain.probs.empty());
+
+  Lineage empty = LineageOfDnf(DnfLineage{}, &mgr);
+  EXPECT_EQ(mgr.ToString(empty.root), "false");
+  EXPECT_TRUE(empty.vars.empty());
 }
 
 // 200 more random (database, CQ) cases, from a second seed stream: the

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "boolean/lineage.h"
 #include "lifted/lifted.h"
@@ -191,8 +196,10 @@ TEST(PlanBoundsTest2, DissociationCountsOccurrences) {
   ASSERT_TRUE(db.AddRelation(std::move(s)).ok());
   ASSERT_TRUE(db.AddRelation(std::move(t)).ok());
   ConjunctiveQuery cq = CqOf("R(x), S(x,y), T(y)");
+  auto dnf = BuildUcqDnf(Ucq({cq}), db);
+  ASSERT_TRUE(dnf.ok());
   const uint64_t copies_before = Relation::CopyCount();
-  auto dissociated = DissociateForLowerBound(cq, db);
+  auto dissociated = DissociateForLowerBound(*dnf, db);
   ASSERT_TRUE(dissociated.ok());
   // R(1) occurs in 2 lineage terms: prob -> 1 - (1-0.5)^(1/2).
   double expected = 1.0 - std::pow(0.5, 0.5);
@@ -205,6 +212,71 @@ TEST(PlanBoundsTest2, DissociationCountsOccurrences) {
   EXPECT_DOUBLE_EQ((*db.Get("R"))->prob(0), 0.5);
   EXPECT_EQ(*dissociated->Get("S"), *db.Get("S"));
   EXPECT_EQ(*dissociated->Get("T"), *db.Get("T"));
+}
+
+// The dissociation reads k off the DNF's terms. On random self-join-free
+// CQs it must give every tuple exactly the probability a reference count
+// gives: k = the number of the reference matcher's matches that use the
+// row, each match counting a row once.
+TEST(PlanBoundsTest2, DissociationMatchesReferenceCounts) {
+  const char* vars[] = {"x", "y", "z"};
+  size_t reweighted = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed * 104729 + 11);
+    Database db = testing::RandomVocabularyDb(&rng);
+    // Up to four atoms over distinct relations: self-join-free.
+    std::vector<std::string> relations = {"R", "S", "T", "U"};
+    ConjunctiveQuery cq;
+    const size_t num_atoms = 1 + rng.Uniform(4);
+    for (size_t i = 0; i < num_atoms; ++i) {
+      size_t pick = rng.Uniform(relations.size());
+      std::string name = relations[pick];
+      relations.erase(relations.begin() + pick);
+      std::vector<Term> args;
+      for (size_t j = 0; j < (*db.Get(name))->arity(); ++j) {
+        args.push_back(rng.Bernoulli(0.15)
+                           ? Term::Const(Value(
+                                 static_cast<int64_t>(1 + rng.Uniform(3))))
+                           : Term::Var(vars[rng.Uniform(3)]));
+      }
+      cq.AddAtom(Atom(name, std::move(args)));
+    }
+    ASSERT_TRUE(cq.IsSelfJoinFree());
+    SCOPED_TRACE(cq.ToString());
+
+    std::map<std::pair<std::string, size_t>, size_t> counts;
+    ASSERT_TRUE(EnumerateCqMatchesReference(cq, db, [&](const CqMatch& m) {
+                  std::set<std::pair<std::string, size_t>> rows;
+                  for (const LineageVar& lv : m.atom_rows) {
+                    rows.emplace(lv.relation, lv.row);
+                  }
+                  for (const auto& row : rows) ++counts[row];
+                }).ok());
+
+    auto dnf = BuildUcqDnf(Ucq({cq}), db);
+    ASSERT_TRUE(dnf.ok());
+    auto dissociated = DissociateForLowerBound(*dnf, db);
+    ASSERT_TRUE(dissociated.ok());
+    for (const char* name : {"R", "S", "T", "U"}) {
+      const Relation& before = **db.Get(name);
+      const Relation& after = **dissociated->Get(name);
+      ASSERT_EQ(after.size(), before.size());
+      for (size_t row = 0; row < before.size(); ++row) {
+        auto it = counts.find({name, row});
+        const size_t k = it == counts.end() ? 0 : it->second;
+        double expected = before.prob(row);
+        if (k > 1) {
+          expected =
+              1.0 - std::pow(1.0 - expected, 1.0 / static_cast<double>(k));
+          ++reweighted;
+        }
+        EXPECT_EQ(after.prob(row), expected)
+            << name << " row " << row << " k " << k;
+      }
+    }
+  }
+  // The cases exercised the reweighting, not only the k <= 1 identity.
+  EXPECT_GT(reweighted, 100u);
 }
 
 TEST(PlanBoundsTest2, SafeQueryBoundsAreTight) {

@@ -16,9 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/session.h"
@@ -753,6 +758,145 @@ TEST(WmcWarmRestartTest, TornComponentStoreLoadsValidPrefix) {
   EXPECT_GT(*loaded, 0u);
   EXPECT_LT(*loaded, 2000u);
   EXPECT_EQ(reloaded.stats().entries, *loaded);
+}
+
+// Gives `cache` one entry, for the spill tests below.
+void InsertOneEntry(WmcCache* cache) {
+  WmcCache::Key key;
+  key.sig.hi = 7;
+  key.sig.lo = 11;
+  key.weight_fp = 13;
+  cache->Insert(key, 0.25);
+}
+
+// The component store is a cache beside the WAL: a spill that fails
+// returns its error, and the database stays writable.
+TEST(WmcSpillTest, FailedSpillLeavesDatabaseWritable) {
+  MemEnv mem;
+  FaultInjectionEnv fault(&mem);
+  DurableOptions options;
+  options.env = &fault;
+  auto db = DurableDatabase::Open("/data", options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->CreateRelation("R", Schema::Anonymous(1)).ok());
+  WmcCache cache;
+  InsertOneEntry(&cache);
+  fault.FailOnce("sync", 0);  // the store's temp file
+  EXPECT_EQ((*db)->SpillWmcCache(cache).code(), StatusCode::kIoError);
+  EXPECT_TRUE((*db)->Insert("R", {Value(int64_t{1})}, 0.5).ok());
+  EXPECT_TRUE((*db)->SpillWmcCache(cache).ok());
+  WmcCache reloaded;
+  auto loaded = (*db)->LoadWmcCache(&reloaded);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 1u);
+}
+
+// A MemEnv whose component-store temp file parks in Sync until released.
+class ParkedSpillEnv : public MemEnv {
+ public:
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    auto file = MemEnv::NewWritableFile(path);
+    if (!file.ok() || path != JoinPath("/data", "wmc.store.tmp")) return file;
+    return Result<std::unique_ptr<WritableFile>>(
+        std::make_unique<ParkedFile>(this, std::move(*file)));
+  }
+
+  /// Whether a spill parked in its Sync within `timeout`.
+  bool WaitParked(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return parked_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  class ParkedFile : public WritableFile {
+   public:
+    ParkedFile(ParkedSpillEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(std::string_view data) override {
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      std::unique_lock<std::mutex> lock(env_->mu_);
+      env_->parked_ = true;
+      env_->cv_.notify_all();
+      env_->cv_.wait(lock, [&] { return env_->released_; });
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    ParkedSpillEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;    // guarded by mu_
+  bool released_ = false;  // guarded by mu_
+};
+
+// A spill parked in its fsync must not hold up a writer. pdbd spills every
+// --wmc-spill-ms, so a spill that held the commit mutex would stall every
+// Insert, ApplyBatch and /ingest behind the store's file I/O. A checkpoint
+// taken meanwhile must not delete the spill's temp file either: its sweep
+// of stray temps from interrupted checkpoints would fail the spill's
+// rename.
+TEST(WmcSpillTest, ParkedSpillDoesNotBlockWriters) {
+  ParkedSpillEnv env;
+  DurableOptions options;
+  options.env = &env;
+  auto db = DurableDatabase::Open("/data", options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->CreateRelation("R", Schema::Anonymous(1)).ok());
+  WmcCache cache;
+  InsertOneEntry(&cache);
+  Status spilled;
+  std::thread spill([&] { spilled = (*db)->SpillWmcCache(cache); });
+  std::future<Status> insert, checkpoint;
+  // Releases the parked spill and joins it on every path (declared after
+  // the futures, so it runs before their destructors wait): a writer stuck
+  // behind the spill fails the test instead of hanging it.
+  class ReleaseAndJoin {
+   public:
+    ReleaseAndJoin(ParkedSpillEnv* env, std::thread* spill)
+        : env_(env), spill_(spill) {}
+    ReleaseAndJoin(const ReleaseAndJoin&) = delete;
+    ReleaseAndJoin& operator=(const ReleaseAndJoin&) = delete;
+    ~ReleaseAndJoin() {
+      env_->Release();
+      if (spill_->joinable()) spill_->join();
+    }
+
+   private:
+    ParkedSpillEnv* env_;
+    std::thread* spill_;
+  } release_and_join(&env, &spill);
+  ASSERT_TRUE(env.WaitParked(std::chrono::seconds(10)));
+  insert = std::async(std::launch::async, [&] {
+    return (*db)->Insert("R", {Value(int64_t{1})}, 0.5);
+  });
+  ASSERT_EQ(insert.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "an Insert waited for a WMC spill parked in its fsync";
+  EXPECT_TRUE(insert.get().ok());
+  checkpoint = std::async(std::launch::async, [&] {
+    return (*db)->Checkpoint();
+  });
+  ASSERT_EQ(checkpoint.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a checkpoint waited for a WMC spill parked in its fsync";
+  EXPECT_TRUE(checkpoint.get().ok());
+  env.Release();
+  spill.join();
+  EXPECT_TRUE(spilled.ok()) << spilled.ToString();
 }
 
 }  // namespace

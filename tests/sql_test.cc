@@ -369,6 +369,32 @@ TEST(ExplainTest, AnalyzeExecutesAndAgreesWithExecReport) {
   EXPECT_NE(text.find("trace: total"), std::string::npos);
 }
 
+// The same statement under a one-decision DPLL budget falls back to plan
+// bounds and Karp-Luby, which read the lineage DPLL was given: one
+// executed plan, whose matches are every match the report counted.
+TEST(ExplainTest, AnalyzeSampledStatementGroundsOnce) {
+  ProbDatabase pdb(UniformJoinDb(4));
+  Session session(&pdb, {.num_threads = 1});
+  QueryOptions options;
+  options.max_dpll_decisions = 1;
+  auto explain = session.ExplainSql(kJoinSql, /*analyze=*/true, options);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->method, "monte-carlo");
+  EXPECT_FALSE(explain->exact);
+  ASSERT_EQ(explain->plans.size(), 1u);
+  const JoinPlanProfile& plan = explain->plans[0];
+  ASSERT_TRUE(plan.executed);
+  EXPECT_EQ(plan.matches, 16u);  // one per S row: every R and T is stored
+  EXPECT_EQ(plan.matches, explain->report.lineage_matches);
+  // The node counter counts the formula's nodes alone, so it reads the
+  // same whether DPLL finished or the statement fell back to sampling.
+  auto exact = session.ExplainSql(kJoinSql, /*analyze=*/true);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_TRUE(exact->exact);
+  EXPECT_GT(exact->report.lineage_nodes, 0u);
+  EXPECT_EQ(explain->report.lineage_nodes, exact->report.lineage_nodes);
+}
+
 TEST(ExplainTest, AnalyzeBypassesResultCache) {
   ProbDatabase pdb(UniformJoinDb(4));
   Session session(&pdb, {.num_threads = 1});
