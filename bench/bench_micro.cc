@@ -511,8 +511,9 @@ BENCHMARK(BM_WmcSharedCacheFanout)->Arg(0)->Arg(1);
 // ---------------------------------------------------------------------------
 // M15: cold-read's grounded statements in process. perfbench's cold-read
 // sends H0 over dense 8x8 blocks, counted exactly by DPLL, and over 9x9
-// blocks under a 5 ms deadline, answered by 200,000 Karp-Luby samples.
-// These benches run the same block edges (bench::BlockEdges).
+// blocks under a 5 ms deadline, answered exactly when DPLL finishes in
+// time and by 200,000 Karp-Luby samples otherwise. These benches run the
+// same block edges (bench::BlockEdges).
 // ---------------------------------------------------------------------------
 
 // Every iteration grounds H0 over a fresh 8x8 block (the same edges, new
@@ -548,6 +549,32 @@ BENCHMARK(BM_DpllH0BlockWarmCache)
     ->Arg(1)
     ->Iterations(58)
     ->Unit(benchmark::kMillisecond);
+
+// The sampled class's statement counted exactly: H0 over a fresh 9x9
+// block (34 edges, 52 variables, probabilities in [0.05, 0.25]) each
+// iteration, through one long-lived shared WmcCache as in pdbd. cold-read
+// sends these under X-Deadline-Ms 5, so this tracks how much of that
+// deadline exact counting needs.
+void BM_DpllH0LargeBlock(benchmark::State& state) {
+  const auto edges = bench::BlockEdges(9, 0.5, 1);
+  auto ucq = FoToUcq(*ParseUcqShorthand("R(x), S(x,y), T(y)"));
+  Rng gen(24);
+  WmcCache cache;
+  for (auto _ : state) {
+    Database db = bench::H0BlockDatabase(9, edges, 0.05, 0.25, &gen);
+    FormulaManager mgr;
+    auto lineage = BuildUcqLineage(*ucq, db, &mgr);
+    PDB_CHECK(lineage.ok() && lineage->probs.size() == 52);
+    DpllOptions options;
+    options.shared_cache = &cache;
+    DpllCounter counter(&mgr, WeightsFromProbabilities(lineage->probs),
+                        options);
+    auto p = counter.Compute(lineage->root);
+    PDB_CHECK(p.ok());
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_DpllH0LargeBlock)->Iterations(58)->Unit(benchmark::kMillisecond);
 
 // One sampled statement's estimate: KarpLubyDnf at pdbd's default 200,000
 // samples over the DNF of H0 on a 9x9 block (34 terms over 52 variables),

@@ -5,6 +5,7 @@
 #include "exec/context.h"
 #include "logic/containment.h"
 #include "util/check.h"
+#include "util/independent_or.h"
 #include "util/string_util.h"
 
 namespace pdb {
@@ -215,14 +216,14 @@ Result<double> LiftedEngine::ComputeUnion(CqVec raw_disjuncts, size_t depth) {
       ++stats_.independent_unions;
       Trace(depth, StrFormat("independent-union over %zu groups",
                              groups.size()));
-      double product = 1.0;
+      double any = 0.0;
       for (const auto& group : groups) {
         CqVec sub;
         for (size_t i : group) sub.push_back(disjuncts[i]);
         PDB_ASSIGN_OR_RETURN(double p, ComputeUnion(std::move(sub), depth + 1));
-        product *= 1.0 - p;
+        any = IndependentOr(any, p);
       }
-      return 1.0 - product;
+      return any;
     }
 
     if (disjuncts.size() == 1) {
@@ -427,7 +428,7 @@ Result<double> LiftedEngine::GroundSeparator(
                        SeparatorSupport(disjuncts, roots));
   Trace(depth, StrFormat("separator grounding over %zu constants",
                          support.size()));
-  double product = 1.0;
+  double any = 0.0;
   for (const Value& value : support) {
     CqVec grounded;
     grounded.reserve(disjuncts.size());
@@ -435,9 +436,9 @@ Result<double> LiftedEngine::GroundSeparator(
       grounded.push_back(disjuncts[d].Substitute(roots[d], value));
     }
     PDB_ASSIGN_OR_RETURN(double p, ComputeUnion(std::move(grounded), depth + 1));
-    product *= 1.0 - p;
+    any = IndependentOr(any, p);
   }
-  return 1.0 - product;
+  return any;
 }
 
 Result<double> LiftedProbability(const Ucq& ucq, const Database& db,

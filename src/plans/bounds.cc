@@ -21,9 +21,10 @@ Result<Database> DissociateForLowerBound(const DnfLineage& dnf,
     const LineageVar& tuple = dnf.vars[v];
     PDB_ASSIGN_OR_RETURN(Relation * rel,
                          dissociated.GetMutable(tuple.relation));
+    // 1 − (1 − p)^{1/k}, without rounding 1 − p away for small p.
     rel->set_prob(tuple.row,
-                  1.0 - std::pow(1.0 - dnf.probs[v],
-                                 1.0 / static_cast<double>(counts[v])));
+                  -std::expm1(std::log1p(-dnf.probs[v]) /
+                              static_cast<double>(counts[v])));
   }
   return dissociated;
 }

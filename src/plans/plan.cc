@@ -8,6 +8,7 @@
 #include "exec/context.h"
 #include "storage/index_cache.h"
 #include "util/check.h"
+#include "util/independent_or.h"
 #include "util/string_util.h"
 
 namespace pdb {
@@ -197,7 +198,7 @@ PlanRelation ExecuteProject(const PlanRelation& child,
       out.probs.push_back(child.probs[r]);
     } else {
       double& p = out.probs[it->second];
-      p = 1.0 - (1.0 - p) * (1.0 - child.probs[r]);  // u ⊕ v
+      p = IndependentOr(p, child.probs[r]);  // u ⊕ v
     }
   }
   return out;

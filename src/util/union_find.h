@@ -24,7 +24,14 @@ class UnionFind {
     }
     return x;
   }
-  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
+  /// Merges the sets of `a` and `b`; false when they were one set already.
+  bool Union(size_t a, size_t b) {
+    a = Find(a);
+    b = Find(b);
+    if (a == b) return false;
+    parent_[a] = b;
+    return true;
+  }
 
  private:
   std::vector<size_t> parent_;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <utility>
 
 #include "util/check.h"
+#include "util/independent_or.h"
 #include "util/string_util.h"
 #include "util/union_find.h"
 
@@ -14,8 +14,8 @@ namespace pdb {
 namespace {
 
 #ifdef PDB_ASSERTIONS
-/// The component invariant: groups must partition the conjunction's
-/// children into pairwise variable-disjoint sets.
+/// The component invariant: groups must partition the node's children into
+/// pairwise variable-disjoint sets.
 bool GroupsAreVarDisjoint(FormulaManager* mgr,
                           const std::vector<std::vector<NodeId>>& groups) {
   std::vector<VarId> all;
@@ -71,22 +71,73 @@ VarId DpllCounter::ChooseVar(NodeId f) {
   const std::vector<VarId>& vars = mgr_->VarsOf(f);
   PDB_CHECK(!vars.empty());
   if (options_.heuristic == DpllHeuristic::kLowestVar) return vars[0];
-  // kMostOccurrences: the variable contained in the most top-level children.
+  // kMostOccurrences: the variable contained in the most top-level children,
+  // the smallest such VarId on a tie.
   FormulaKind k = mgr_->kind(f);
   if (k != FormulaKind::kAnd && k != FormulaKind::kOr) return vars[0];
-  std::map<VarId, size_t> counts;
+  if (occurrences_.empty()) occurrences_.assign(weights_.size(), 0);
   for (NodeId c : mgr_->children(f)) {
-    for (VarId v : mgr_->VarsOf(c)) ++counts[v];
+    for (VarId v : mgr_->VarsOf(c)) ++occurrences_[v];
   }
   VarId best = vars[0];
-  size_t best_count = 0;
-  for (const auto& [v, n] : counts) {
-    if (n > best_count) {
+  uint32_t best_count = 0;
+  for (VarId v : vars) {
+    if (occurrences_[v] > best_count) {
       best = v;
-      best_count = n;
+      best_count = occurrences_[v];
     }
+    occurrences_[v] = 0;
   }
   return best;
+}
+
+std::vector<std::vector<NodeId>> DpllCounter::Components(NodeId f) {
+  auto kids = mgr_->children(f);
+  const std::vector<VarId>& vars = mgr_->VarsOf(f);
+  if (first_child_.empty()) first_child_.assign(weights_.size(), kNoChild);
+  UnionFind uf(kids.size());
+  size_t num_groups = kids.size();
+  for (size_t i = 0; i < kids.size() && num_groups > 1; ++i) {
+    for (VarId v : mgr_->VarsOf(kids[i])) {
+      uint32_t& first = first_child_[v];
+      if (first == kNoChild) {
+        first = static_cast<uint32_t>(i);
+      } else if (uf.Union(i, first)) {
+        --num_groups;
+      }
+    }
+  }
+  std::vector<std::vector<NodeId>> groups;
+  if (num_groups > 1) {
+    // Canonical component order: ascending smallest VarId. The partition
+    // itself is a pure function of the unordered structure, but the
+    // union-find representative is a child *index*, which follows the
+    // manager-local NodeId order — combining in rep order would make the
+    // result's rounding depend on interning history, and cross-manager
+    // shared-cache hits would no longer be bit-identical. Components are
+    // variable-disjoint, so walking the sorted variables meets each
+    // component first at its smallest VarId.
+    std::vector<uint32_t> group_of_rep(kids.size(), kNoChild);
+    groups.reserve(num_groups);
+    for (VarId v : vars) {
+      uint32_t& group = group_of_rep[uf.Find(first_child_[v])];
+      if (group == kNoChild) {
+        group = static_cast<uint32_t>(groups.size());
+        groups.emplace_back();
+      }
+    }
+    for (size_t i = 0; i < kids.size(); ++i) {
+      groups[group_of_rep[uf.Find(i)]].push_back(kids[i]);
+    }
+  }
+  for (VarId v : vars) first_child_[v] = kNoChild;
+  return groups;
+}
+
+double DpllCounter::TotalWeight(const std::vector<VarId>& vars) const {
+  double total = 1.0;
+  for (VarId v : vars) total *= weights_[v].sum();
+  return total;
 }
 
 double DpllCounter::FreedVarsFactor(const std::vector<VarId>& all,
@@ -171,58 +222,41 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
     ++stats_.shared_misses;
   }
 
-  // Connected-component decomposition of conjunctions.
-  if (options_.use_components && mgr_->kind(f) == FormulaKind::kAnd) {
-    auto kids = mgr_->children(f);
-    UnionFind uf(kids.size());
-    std::map<VarId, size_t> first_child_of_var;
-    for (size_t i = 0; i < kids.size(); ++i) {
-      for (VarId v : mgr_->VarsOf(kids[i])) {
-        auto [pos, inserted] = first_child_of_var.emplace(v, i);
-        if (!inserted) uf.Union(i, pos->second);
-      }
-    }
-    std::map<size_t, std::vector<NodeId>> by_rep;
-    for (size_t i = 0; i < kids.size(); ++i) {
-      by_rep[uf.Find(i)].push_back(kids[i]);
-    }
-    if (by_rep.size() > 1) {
-      // Canonical component order: ascending smallest VarId. The partition
-      // itself is a pure function of the unordered structure, but the
-      // union-find representative is a child *index*, which follows the
-      // manager-local NodeId order — multiplying in rep order would make
-      // the product's rounding depend on interning history, and cross-
-      // manager shared-cache hits would no longer be bit-identical.
-      // Components are variable-disjoint, so their smallest VarIds are
-      // distinct and give a canonical total order.
-      std::vector<std::pair<VarId, std::vector<NodeId>>> tagged;
-      tagged.reserve(by_rep.size());
-      for (auto& [rep, members] : by_rep) {
-        VarId min_var = mgr_->VarsOf(members[0]).front();
-        for (NodeId m : members) {
-          min_var = std::min(min_var, mgr_->VarsOf(m).front());
-        }
-        tagged.emplace_back(min_var, std::move(members));
-      }
-      std::sort(tagged.begin(), tagged.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      std::vector<std::vector<NodeId>> groups;
-      groups.reserve(tagged.size());
-      for (auto& [min_var, members] : tagged) {
-        groups.push_back(std::move(members));
-      }
+  // Component decomposition: a conjunction or a disjunction whose children
+  // fall into variable-disjoint groups is counted group by group. A
+  // decision-DNNF has no independent-or node, so a disjunction splits only
+  // while no trace is recorded.
+  const FormulaKind kind = mgr_->kind(f);
+  if (options_.use_components &&
+      (kind == FormulaKind::kAnd ||
+       (kind == FormulaKind::kOr && sink == nullptr))) {
+    std::vector<std::vector<NodeId>> groups = Components(f);
+    if (!groups.empty()) {
       PDB_ASSERT(GroupsAreVarDisjoint(mgr_, groups));
       ++stats_.component_splits;
-      double product = 1.0;
-      std::vector<DpllTraceSink::Ref> refs;
-      for (const auto& members : groups) {
-        NodeId component = mgr_->And(members);
-        PDB_ASSIGN_OR_RETURN(CacheEntry sub, Count(component));
-        product *= sub.value;
-        if (sink) refs.push_back(sub.trace);
+      if (kind == FormulaKind::kAnd) {
+        std::vector<DpllTraceSink::Ref> refs;
+        result.value = 1.0;
+        for (const auto& members : groups) {
+          PDB_ASSIGN_OR_RETURN(CacheEntry sub, Count(mgr_->And(members)));
+          result.value *= sub.value;
+          if (sink) refs.push_back(sub.trace);
+        }
+        if (sink) result.trace = sink->AndNode(refs);
+      } else {
+        // Fold WMC(A ∨ B) = W_A·Z_B + (Z_A − W_A)·W_B, where Z is a
+        // side's total weight over its variables; `total` is Z of the
+        // groups folded so far.
+        result.value = 0.0;
+        double total = 1.0;
+        for (const auto& members : groups) {
+          NodeId component = mgr_->Or(members);
+          PDB_ASSIGN_OR_RETURN(CacheEntry sub, Count(component));
+          const double z = TotalWeight(mgr_->VarsOf(component));
+          result.value = DisjointOrCount(result.value, total, sub.value, z);
+          total *= z;
+        }
       }
-      result.value = product;
-      if (sink) result.trace = sink->AndNode(refs);
       cache_.emplace(f, result);
       if (shared_key) options_.shared_cache->Insert(*shared_key, result.value);
       return result;

@@ -3,10 +3,17 @@
 ///
 /// Full backtracking search in the style of Cachet/sharpSAT: Shannon
 /// expansion (rule 11), formula caching (hash-consing makes equal
-/// subformulas identical node ids), and connected-component decomposition of
-/// conjunctions (rule 12). The search trace can be recorded through a
-/// `DpllTraceSink`, which — per Huang & Darwiche — yields a decision-DNNF
-/// (see kc/trace_compiler.h).
+/// subformulas identical node ids), and connected-component decomposition
+/// (rule 12) of conjunctions and disjunctions: a node whose children fall
+/// into variable-disjoint groups is counted group by group, a conjunction
+/// as the product and a disjunction folded as
+/// W_A·Z_B + (Z_A − W_A)·W_B (a + (1 − a)·b for probabilities; see
+/// util/independent_or.h), the lineage-level twin of the lifted rules'
+/// independent join and independent union. The search trace can be
+/// recorded through a `DpllTraceSink`, which — per Huang & Darwiche —
+/// yields a decision-DNNF (see kc/trace_compiler.h); a decision-DNNF has
+/// no independent-or node, so disjunctions do not split while a sink is
+/// attached.
 ///
 /// Weighted counts are computed relative to the variable set of each
 /// subformula; variables eliminated by simplification are re-introduced as
@@ -16,7 +23,6 @@
 #define PDB_WMC_DPLL_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -52,11 +58,14 @@ enum class DpllHeuristic {
 
 /// Options for a DPLL run.
 struct DpllOptions {
+  /// Split conjunctions, and disjunctions while no trace sink is attached,
+  /// into variable-disjoint components.
   bool use_components = true;
   DpllHeuristic heuristic = DpllHeuristic::kMostOccurrences;
   /// Abort with ResourceExhausted after this many Shannon expansions.
   uint64_t max_decisions = UINT64_MAX;
-  /// Optional trace sink; may be null.
+  /// Optional trace sink; may be null. While one is attached, only
+  /// conjunctions split into components, so the trace is a decision-DNNF.
   DpllTraceSink* trace = nullptr;
   /// Optional execution context; may be null. The counter polls its
   /// deadline/cancel signal every few decisions and aborts with
@@ -91,6 +100,7 @@ struct DpllOptions {
 struct DpllStats {
   uint64_t decisions = 0;
   uint64_t cache_hits = 0;
+  /// Conjunctions and disjunctions split into variable-disjoint groups.
   uint64_t component_splits = 0;
   /// Probes answered by the session-shared cross-query cache.
   uint64_t shared_hits = 0;
@@ -133,6 +143,12 @@ class DpllCounter {
   /// is below the probe threshold.
   std::optional<WmcCache::Key> SharedKey(NodeId f);
   VarId ChooseVar(NodeId f);
+  /// The children of the kAnd/kOr node `f` partitioned into variable-
+  /// disjoint groups, in ascending order of each group's smallest VarId,
+  /// members in stored order; empty when the children are connected.
+  std::vector<std::vector<NodeId>> Components(NodeId f);
+  /// Product of (w+w̄) over `vars`: the count of `true` over them.
+  double TotalWeight(const std::vector<VarId>& vars) const;
   /// Product of (w+w̄) over variables in `all` but not in `sub`.
   double FreedVarsFactor(const std::vector<VarId>& all,
                          const std::vector<VarId>& sub, VarId decided);
@@ -143,6 +159,13 @@ class DpllCounter {
   DpllStats stats_;
   std::unordered_map<NodeId, CacheEntry> cache_;
   DpllTraceSink::Ref root_trace_ = 0;
+  // Per-variable scratch, indexed by VarId, sized on first use (a run
+  // answered by the shared cache at its root needs neither) and restored
+  // between uses: ChooseVar's occurrence counts (all 0) and Components'
+  // first child containing each variable (all kNoChild).
+  static constexpr uint32_t kNoChild = UINT32_MAX;
+  std::vector<uint32_t> occurrences_;
+  std::vector<uint32_t> first_child_;
 };
 
 }  // namespace pdb

@@ -24,7 +24,10 @@
 #include "kc/order.h"
 #include "kc/trace_compiler.h"
 #include "lifted/lifted.h"
+#include "logic/parser.h"
 #include "plans/bounds.h"
+#include "plans/enumerate.h"
+#include "plans/plan.h"
 #include "storage/index_cache.h"
 #include "test_common.h"
 #include "wmc/dpll.h"
@@ -230,6 +233,90 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialConsistency,
                          ::testing::Range<uint64_t>(0, 8));
+
+// Small probabilities: over a 3x3 instance with every tuple at p, each
+// exact-labelled backend must keep its relative error against exact
+// rational enumeration, where 1 - prod(1 - p) would round the answer
+// away (it returned 0 for R(x), S(x,y) at p = 1e-10).
+class SmallProbabilitySweep : public ::testing::TestWithParam<double> {};
+
+/// R(1..3), T(1..3) and S over {1,2,3}^2, every tuple at probability `p`.
+Database UniformDatabase(double p) {
+  Relation r("R", Schema::Anonymous(1));
+  Relation s("S", Schema::Anonymous(2));
+  Relation t("T", Schema::Anonymous(1));
+  for (int64_t i = 1; i <= 3; ++i) {
+    PDB_CHECK(r.AddTuple({Value(i)}, p).ok());
+    PDB_CHECK(t.AddTuple({Value(i)}, p).ok());
+    for (int64_t j = 1; j <= 3; ++j) {
+      PDB_CHECK(s.AddTuple({Value(i), Value(j)}, p).ok());
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(r)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
+  PDB_CHECK(db.AddRelation(std::move(t)).ok());
+  return db;
+}
+
+/// |got - want| / |want| against the exact probability of `ucq` over `db`.
+double RelativeError(double got, const Ucq& ucq, const Database& db) {
+  FormulaManager mgr;
+  auto lineage = BuildUcqLineage(ucq, db, &mgr);
+  PDB_CHECK(lineage.ok());
+  auto exact = EnumerateProbabilityExact(&mgr, lineage->root, lineage->probs);
+  PDB_CHECK(exact.ok());
+  const double want = exact->ToDouble();
+  PDB_CHECK(want > 0.0);
+  return std::fabs(got - want) / want;
+}
+
+Ucq ParseUcq(const std::string& text) {
+  auto ucq = FoToUcq(*ParseUcqShorthand(text));
+  PDB_CHECK(ucq.ok());
+  return *ucq;
+}
+
+TEST_P(SmallProbabilitySweep, ExactBackendsKeepRelativePrecision) {
+  const double p = GetParam();
+  Database db = UniformDatabase(p);
+  for (const char* text : {"R(x), S(x,y)", "S(x,y), T(y)"}) {
+    SCOPED_TRACE(text);
+    Ucq ucq = ParseUcq(text);
+    auto lifted = LiftedProbability(ucq, db);
+    ASSERT_TRUE(lifted.ok());
+    EXPECT_LE(RelativeError(*lifted, ucq, db), 1e-12) << *lifted;
+  }
+
+  Ucq rs = ParseUcq("R(x), S(x,y)");
+  auto plan = BuildSafePlan(rs.disjuncts()[0]);
+  ASSERT_TRUE(plan.ok());
+  auto planned = ExecuteBooleanPlan(*plan, db);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_LE(RelativeError(*planned, rs, db), 1e-12) << *planned;
+
+  Ucq h0 = ParseUcq("R(x), S(x,y), T(y)");
+  FormulaManager mgr;
+  auto lineage = BuildUcqLineage(h0, db, &mgr);
+  ASSERT_TRUE(lineage.ok());
+  DpllCounter counter(&mgr, WeightsFromProbabilities(lineage->probs));
+  auto counted = counter.Compute(lineage->root);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_LE(RelativeError(*counted, h0, db), 1e-12) << *counted;
+
+  // Q_J goes through inclusion-exclusion, whose alternating sum still
+  // cancels below p = 1e-6.
+  if (p >= 1e-6) {
+    Ucq qj = ParseUcq("R(x), S(x,y), T(u), S(u,v)");
+    auto lifted_qj = LiftedProbability(qj, db);
+    ASSERT_TRUE(lifted_qj.ok());
+    EXPECT_LE(RelativeError(*lifted_qj, qj, db), 1e-9) << *lifted_qj;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Probabilities, SmallProbabilitySweep,
+                         ::testing::Values(1e-2, 1e-4, 1e-6, 1e-8, 1e-10,
+                                           1e-12, 1 - 1e-9));
 
 }  // namespace
 }  // namespace pdb

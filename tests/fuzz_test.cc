@@ -227,8 +227,9 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
   // Random conjunctions with planted variable-disjoint blocks. Each block
   // is a single clause (disjunction of literals) over its own private
   // variables, so cofactoring inside a block never creates a new
-  // conjunction: the ONLY component split the counter can perform is the
-  // planted top-level one, and `component_splits` must be exactly 1.
+  // conjunction: the counter splits the planted top-level conjunction
+  // once and then each clause into its literals, so `component_splits`
+  // must be exactly 1 + num_blocks, with no decision at all.
   Rng rng(GetParam() * 48271 + 7);
   for (int round = 0; round < 20; ++round) {
     size_t num_blocks = 2 + rng.Uniform(4);  // >= 2: a real split
@@ -258,11 +259,12 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
     ASSERT_TRUE(flat_value.ok());
     EXPECT_EQ(flat.stats().component_splits, 0u);
 
-    // Components on: exactly the planted split.
+    // Components on: the planted split and one per clause.
     DpllCounter split(&mgr, WeightsFromProbabilities(probs));
     auto split_value = split.Compute(root);
     ASSERT_TRUE(split_value.ok());
-    EXPECT_EQ(split.stats().component_splits, 1u);
+    EXPECT_EQ(split.stats().component_splits, 1 + num_blocks);
+    EXPECT_EQ(split.stats().decisions, 0u);
     EXPECT_NEAR(*split_value, *flat_value, 1e-12);
 
     // Ground truth when small enough to enumerate.
@@ -270,6 +272,53 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
       EXPECT_NEAR(*EnumerateProbability(&mgr, root, probs), *split_value,
                   1e-12);
     }
+  }
+}
+
+TEST_P(ComponentDecompositionFuzz, PlantedDisjointDisjunctsSplitAsExpected) {
+  // The dual: random disjunctions of planted variable-disjoint blocks.
+  // Each block is a connected two-term DNF over its own private
+  // variables, (a & b) | (b & c) with random polarities, so no block
+  // splits until its shared variable b is decided. The counter splits the
+  // planted top-level disjunction once, decides b in each block, and
+  // splits the one cofactor that is a disjunction of two independent
+  // literals: 1 + num_blocks splits and num_blocks decisions.
+  Rng rng(GetParam() * 69621 + 11);
+  for (int round = 0; round < 20; ++round) {
+    size_t num_blocks = 2 + rng.Uniform(4);
+    FormulaManager mgr;
+    std::vector<double> probs;
+    std::vector<NodeId> blocks;
+    auto literal = [&](VarId v) {
+      NodeId lit = mgr.Var(v);
+      return rng.Bernoulli(0.4) ? mgr.Not(lit) : lit;
+    };
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const VarId first = static_cast<VarId>(probs.size());
+      for (int i = 0; i < 3; ++i) probs.push_back(rng.NextDouble());
+      NodeId shared = literal(first + 1);
+      blocks.push_back(mgr.Or(mgr.And(literal(first), shared),
+                              mgr.And(shared, literal(first + 2))));
+    }
+    NodeId root = mgr.Or(blocks);
+    SCOPED_TRACE(StrFormat("blocks=%zu: %s", num_blocks,
+                           mgr.ToString(root).c_str()));
+
+    DpllOptions no_components;
+    no_components.use_components = false;
+    DpllCounter flat(&mgr, WeightsFromProbabilities(probs), no_components);
+    auto flat_value = flat.Compute(root);
+    ASSERT_TRUE(flat_value.ok());
+    EXPECT_EQ(flat.stats().component_splits, 0u);
+
+    DpllCounter split(&mgr, WeightsFromProbabilities(probs));
+    auto split_value = split.Compute(root);
+    ASSERT_TRUE(split_value.ok());
+    EXPECT_EQ(split.stats().component_splits, 1 + num_blocks);
+    EXPECT_EQ(split.stats().decisions, num_blocks);
+    EXPECT_NEAR(*split_value, *flat_value, 1e-12);
+    EXPECT_NEAR(*EnumerateProbability(&mgr, root, probs), *split_value,
+                1e-12);
   }
 }
 

@@ -1128,7 +1128,10 @@ TEST(SessionMetricsTest, ExecReportToStringShowsSharedCacheLines) {
 TEST(SessionMetricsTest, AnswerInfoSurfacesMethodAndStdError) {
   ProbDatabase pdb(HardDatabase(3));
   Session session(&pdb, {.num_threads = 1});
-  ConjunctiveQuery cq({Atom("R", {Term::Var("x")}),
+  // Each answer z's lineage is R(z) conjoined with the whole H0 lineage,
+  // which mentions R(z) too and needs Shannon expansions past the first.
+  ConjunctiveQuery cq({Atom("R", {Term::Var("z")}),
+                       Atom("R", {Term::Var("x")}),
                        Atom("S", {Term::Var("x"), Term::Var("y")}),
                        Atom("T", {Term::Var("y")})});
 
@@ -1137,7 +1140,7 @@ TEST(SessionMetricsTest, AnswerInfoSurfacesMethodAndStdError) {
   sampled.max_dpll_decisions = 1;  // force sampling per tuple
   sampled.monte_carlo_samples = 5000;
   std::vector<AnswerTupleInfo> info;
-  auto rows = session.QueryWithAnswers(cq, {"x"}, sampled, &info);
+  auto rows = session.QueryWithAnswers(cq, {"z"}, sampled, &info);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(info.size(), rows->size());
   ASSERT_GT(info.size(), 0u);
@@ -1150,7 +1153,7 @@ TEST(SessionMetricsTest, AnswerInfoSurfacesMethodAndStdError) {
 
   QueryOptions exact;
   std::vector<AnswerTupleInfo> exact_info;
-  ASSERT_TRUE(session.QueryWithAnswers(cq, {"x"}, exact, &exact_info).ok());
+  ASSERT_TRUE(session.QueryWithAnswers(cq, {"z"}, exact, &exact_info).ok());
   ASSERT_EQ(exact_info.size(), info.size());
   for (const auto& i : exact_info) {
     EXPECT_TRUE(i.exact);

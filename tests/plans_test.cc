@@ -266,8 +266,9 @@ TEST(PlanBoundsTest2, DissociationMatchesReferenceCounts) {
         const size_t k = it == counts.end() ? 0 : it->second;
         double expected = before.prob(row);
         if (k > 1) {
-          expected =
-              1.0 - std::pow(1.0 - expected, 1.0 / static_cast<double>(k));
+          // 1 − (1 − p)^{1/k}, computed without rounding 1 − p.
+          expected = -std::expm1(std::log1p(-expected) /
+                                 static_cast<double>(k));
           ++reweighted;
         }
         EXPECT_EQ(after.prob(row), expected)

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
+#include <unordered_map>
 
 #include "boolean/lineage.h"
 #include "exec/thread_pool.h"
 #include "logic/parser.h"
 #include "test_common.h"
+#include "util/string_util.h"
 #include "wmc/dpll.h"
 #include "wmc/enumeration.h"
 #include "wmc/montecarlo.h"
@@ -190,13 +194,275 @@ TEST(DpllTest, DecisionLimit) {
 
 TEST(DpllTest, StatsArePopulated) {
   FormulaManager mgr;
-  // Two independent conjuncts force a component split.
-  NodeId f = mgr.And(mgr.Or(mgr.Var(0), mgr.Var(1)),
-                     mgr.Or(mgr.Var(2), mgr.Var(3)));
-  DpllCounter counter(&mgr, WeightsFromProbabilities(RandomProbs(4, nullptr)));
-  ASSERT_TRUE(counter.Compute(f).ok());
-  EXPECT_GE(counter.stats().component_splits, 1u);
-  EXPECT_GE(counter.stats().decisions, 2u);
+  // Two independent conjuncts force a component split; inside each, the
+  // terms share a variable, so the counter decides it, and the cofactor
+  // x1 = 1 leaves a disjunction of independent literals, which splits too.
+  auto block = [&](VarId a, VarId b, VarId c) {
+    return mgr.Or(mgr.And(mgr.Var(a), mgr.Var(b)),
+                  mgr.And(mgr.Var(b), mgr.Var(c)));
+  };
+  NodeId f = mgr.And(block(0, 1, 2), block(3, 4, 5));
+  std::vector<double> probs = RandomProbs(6, nullptr);
+  DpllCounter counter(&mgr, WeightsFromProbabilities(probs));
+  auto p = counter.Compute(f);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(counter.stats().decisions, 2u);
+  EXPECT_EQ(counter.stats().component_splits, 3u);
+  EXPECT_NEAR(*p, *EnumerateProbability(&mgr, f, probs), 1e-15);
+}
+
+/// `weights` as exact rationals, for EnumerateWmcExact.
+RationalWeightMap ExactWeights(const WeightMap& weights) {
+  RationalWeightMap exact;
+  for (const WeightPair& w : weights) {
+    exact.push_back({BigRational::FromDouble(w.w_true),
+                     BigRational::FromDouble(w.w_false)});
+  }
+  return exact;
+}
+
+TEST(DpllTest, DisjointDisjunctsNeedNoDecisions) {
+  // A disjunction of variable-disjoint terms is counted term by term:
+  // every term is a conjunction of its own literals, so no variable is
+  // ever decided, under probabilities, general and negative weights
+  // alike (a Skolem pair's w + w̄ is 0).
+  Rng rng(2404);
+  for (int round = 0; round < 30; ++round) {
+    FormulaManager mgr;
+    std::vector<NodeId> terms;
+    VarId next = 0;
+    const size_t num_terms = 2 + rng.Uniform(4);
+    for (size_t t = 0; t < num_terms; ++t) {
+      std::vector<NodeId> literals;
+      const size_t width = 1 + rng.Uniform(3);
+      for (size_t i = 0; i < width; ++i) {
+        NodeId lit = mgr.Var(next++);
+        literals.push_back(rng.Bernoulli(0.3) ? mgr.Not(lit) : lit);
+      }
+      terms.push_back(mgr.And(std::move(literals)));
+    }
+    NodeId f = mgr.Or(std::move(terms));
+    for (int kind = 0; kind < 3; ++kind) {
+      WeightMap weights;
+      for (VarId v = 0; v < next; ++v) {
+        if (kind == 0) {
+          weights.push_back(WeightPair::Probability(rng.NextDouble()));
+        } else if (kind == 1) {
+          weights.push_back(
+              {4 * rng.NextDouble() - 2, 4 * rng.NextDouble() - 2});
+        } else {
+          weights.push_back(rng.Bernoulli(0.3) ? WeightPair::Skolem()
+                                               : WeightPair{rng.NextDouble(),
+                                                            1.0});
+        }
+      }
+      SCOPED_TRACE(StrFormat("round %d kind %d: %s", round, kind,
+                             mgr.ToString(f).c_str()));
+      DpllCounter counter(&mgr, weights);
+      auto got = counter.Compute(f);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(counter.stats().decisions, 0u);
+      EXPECT_GE(counter.stats().component_splits, 1u);
+      const double want =
+          EnumerateWmcExact(&mgr, f, ExactWeights(weights))->ToDouble();
+      EXPECT_NEAR(*got, want, 1e-12 * std::max(1.0, std::fabs(want)));
+    }
+  }
+}
+
+// The counter as it was when only conjunctions split: a NodeId cache,
+// std::map bookkeeping, conjunction components in ascending smallest-VarId
+// order, and Shannon expansion on the variable in the most children. With
+// a trace sink attached or `use_components = false`, DpllCounter must
+// reproduce it exactly: the same bits, decisions, cache hits and splits.
+class ConjunctionSplitCounter {
+ public:
+  ConjunctionSplitCounter(FormulaManager* mgr, WeightMap weights,
+                          bool components)
+      : mgr_(mgr), weights_(std::move(weights)), components_(components) {}
+
+  double Count(NodeId f) {
+    switch (mgr_->kind(f)) {
+      case FormulaKind::kTrue:
+        return 1.0;
+      case FormulaKind::kFalse:
+        return 0.0;
+      case FormulaKind::kVar:
+        return weights_[mgr_->var(f)].w_true;
+      default:
+        break;
+    }
+    auto it = cache_.find(f);
+    if (it != cache_.end()) {
+      ++stats.cache_hits;
+      return it->second;
+    }
+    if (mgr_->kind(f) == FormulaKind::kNot &&
+        mgr_->kind(mgr_->children(f)[0]) == FormulaKind::kVar) {
+      return cache_[f] = weights_[mgr_->var(mgr_->children(f)[0])].w_false;
+    }
+    if (components_ && mgr_->kind(f) == FormulaKind::kAnd) {
+      auto kids = mgr_->children(f);
+      std::vector<size_t> rep(kids.size());
+      for (size_t i = 0; i < kids.size(); ++i) rep[i] = i;
+      auto find = [&](size_t x) {
+        while (rep[x] != x) x = rep[x];
+        return x;
+      };
+      std::map<VarId, size_t> first_child_of_var;
+      for (size_t i = 0; i < kids.size(); ++i) {
+        for (VarId v : mgr_->VarsOf(kids[i])) {
+          auto [pos, inserted] = first_child_of_var.emplace(v, i);
+          if (!inserted) rep[find(i)] = find(pos->second);
+        }
+      }
+      std::map<size_t, std::vector<NodeId>> by_rep;
+      for (size_t i = 0; i < kids.size(); ++i) {
+        by_rep[find(i)].push_back(kids[i]);
+      }
+      if (by_rep.size() > 1) {
+        std::map<VarId, std::vector<NodeId>> by_min_var;
+        for (auto& [r, members] : by_rep) {
+          VarId min_var = mgr_->VarsOf(members[0]).front();
+          for (NodeId m : members) {
+            min_var = std::min(min_var, mgr_->VarsOf(m).front());
+          }
+          by_min_var[min_var] = std::move(members);
+        }
+        ++stats.component_splits;
+        double product = 1.0;
+        for (auto& [min_var, members] : by_min_var) {
+          product *= Count(mgr_->And(members));
+        }
+        return cache_[f] = product;
+      }
+    }
+    ++stats.decisions;
+    std::map<VarId, size_t> counts;
+    for (NodeId c : mgr_->children(f)) {
+      for (VarId v : mgr_->VarsOf(c)) ++counts[v];
+    }
+    VarId v = mgr_->VarsOf(f)[0];
+    size_t best = 0;
+    for (const auto& [var, n] : counts) {
+      if (n > best) {
+        v = var;
+        best = n;
+      }
+    }
+    const std::vector<VarId> all = mgr_->VarsOf(f);
+    NodeId f0 = mgr_->Cofactor(f, v, false);
+    NodeId f1 = mgr_->Cofactor(f, v, true);
+    double e0 = Count(f0);
+    double e1 = Count(f1);
+    auto freed = [&](NodeId sub) {
+      const std::vector<VarId>& kept = mgr_->VarsOf(sub);
+      double factor = 1.0;
+      for (VarId u : all) {
+        if (u != v && !std::binary_search(kept.begin(), kept.end(), u)) {
+          factor *= weights_[u].sum();
+        }
+      }
+      return factor;
+    };
+    double corr0 = freed(f0);
+    double corr1 = freed(f1);
+    return cache_[f] = weights_[v].w_false * e0 * corr0 +
+                       weights_[v].w_true * e1 * corr1;
+  }
+
+  DpllStats stats;
+
+ private:
+  FormulaManager* mgr_;
+  WeightMap weights_;
+  bool components_;
+  std::unordered_map<NodeId, double> cache_;
+};
+
+/// Numbers the trace nodes and counts the component nodes.
+class CountingTraceSink : public DpllTraceSink {
+ public:
+  Ref TrueNode() override { return 1; }
+  Ref FalseNode() override { return 0; }
+  Ref Decision(VarId, Ref, Ref) override { return next_++; }
+  Ref AndNode(const std::vector<Ref>&) override {
+    ++and_nodes;
+    return next_++;
+  }
+  uint64_t and_nodes = 0;
+
+ private:
+  Ref next_ = 2;
+};
+
+TEST(DpllTest, TraceSinkAndNoComponentsCountLikeConjunctionSplitOnly) {
+  auto ucq = FoToUcq(*ParseUcqShorthand("R(x), S(x,y), T(y)"));
+  ASSERT_TRUE(ucq.ok());
+  uint64_t reference_decisions = 0;
+  size_t fewer_with_disjunction_split = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed * 2654435761u + 5);
+    FormulaManager mgr;
+    NodeId f;
+    WeightMap weights;
+    if (seed % 2 == 0) {
+      f = RandomFormula(&mgr, 16, 5, &rng);
+      for (VarId v = 0; v < 16; ++v) {
+        weights.push_back(seed % 4 == 0
+                              ? WeightPair::Probability(rng.NextDouble())
+                              : WeightPair{2 * rng.NextDouble() - 0.5,
+                                           2 * rng.NextDouble() - 0.5});
+      }
+    } else {
+      // H0 over a random 4x4 instance.
+      Database db;
+      testing::RandomTidOptions tid;
+      tid.presence = 0.75;
+      testing::AddRandomRelation(&db, "R", 1, &rng, tid);
+      testing::AddRandomRelation(&db, "S", 2, &rng, tid);
+      testing::AddRandomRelation(&db, "T", 1, &rng, tid);
+      auto lineage = BuildUcqLineage(*ucq, db, &mgr);
+      ASSERT_TRUE(lineage.ok());
+      f = lineage->root;
+      weights = WeightsFromProbabilities(lineage->probs);
+    }
+    if (mgr.is_const(f)) continue;
+    SCOPED_TRACE(StrFormat("seed %llu: %s",
+                           static_cast<unsigned long long>(seed),
+                           mgr.ToString(f).c_str()));
+    for (bool with_sink : {true, false}) {
+      CountingTraceSink sink;
+      DpllOptions options;
+      if (with_sink) {
+        options.trace = &sink;
+      } else {
+        options.use_components = false;
+      }
+      DpllCounter counter(&mgr, weights, options);
+      auto got = counter.Compute(f);
+      ASSERT_TRUE(got.ok());
+      ConjunctionSplitCounter reference(&mgr, weights, with_sink);
+      const double want = reference.Count(f);
+      EXPECT_EQ(*got, want) << (with_sink ? "sink" : "no components");
+      EXPECT_EQ(counter.stats().decisions, reference.stats.decisions);
+      EXPECT_EQ(counter.stats().cache_hits, reference.stats.cache_hits);
+      EXPECT_EQ(counter.stats().component_splits,
+                reference.stats.component_splits);
+      if (with_sink) {
+        EXPECT_EQ(sink.and_nodes, reference.stats.component_splits);
+        reference_decisions += reference.stats.decisions;
+        DpllCounter plain(&mgr, weights);
+        ASSERT_TRUE(plain.Compute(f).ok());
+        if (plain.stats().decisions < reference.stats.decisions) {
+          ++fewer_with_disjunction_split;
+        }
+      }
+    }
+  }
+  // The cases search, and without a sink most of them decide less.
+  EXPECT_GT(reference_decisions, 1000u);
+  EXPECT_GT(fewer_with_disjunction_split, 30u);
 }
 
 // ---------------------------------------------------------------------------
