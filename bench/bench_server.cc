@@ -229,9 +229,10 @@ uint64_t ScrapeCounter(const std::string& metrics, const std::string& name) {
 void BM_ServerSaturation(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
 
-  // 12x12: exact DPLL on H0 runs about 0.4 s, so the hard request below
-  // overruns its 100 ms deadline and falls back to sampling.
-  ProbDatabase db(BipartiteDatabase(12));
+  // 14x14: exact DPLL on H0 runs about 0.65 s (Release, 4-core x86), so
+  // the hard request below overruns its 100 ms deadline and falls back to
+  // sampling.
+  ProbDatabase db(BipartiteDatabase(14));
   ServerOptions options;
   // Deliberately under-provisioned so 8..64 clients saturate the server
   // and the overflow is shed rather than queued behind slow work.

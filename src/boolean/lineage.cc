@@ -298,7 +298,8 @@ struct CompiledJoin {
 // distinct-value count of the bound columns (constants plus variables
 // bound by already-ordered atoms). With two or more bound columns the
 // divisor is the *composite* distinct count (DistinctComposite over the
-// columnar image: the key combinations that actually occur), so
+// columnar image: the key combinations that actually occur, counted once
+// per image), so
 // correlated key pairs are not overestimated the way the classic
 // independence product would; a composite that overflows 64 bits falls
 // back to the per-column product. Distinct counts come from the columnar
@@ -320,10 +321,6 @@ std::vector<size_t> OrderAtoms(
   const bool have_stats = stats.size() == atoms.size();
   std::vector<bool> chosen(atoms.size(), false);
   std::map<std::string, bool> bound_vars;
-  // Composite distinct counts are O(rows) scans; memoize per (atom, bound
-  // column set) since the same set recurs across ordering steps.
-  std::vector<std::map<std::vector<size_t>, size_t>> composite_memo(
-      atoms.size());
   for (size_t step = 0; step < atoms.size(); ++step) {
     size_t best = atoms.size();
     double best_est = 0.0;
@@ -343,9 +340,7 @@ std::vector<size_t> OrderAtoms(
       if (have_stats && !bound_cols.empty()) {
         size_t composite = 0;
         if (bound_cols.size() >= 2) {
-          auto [it, inserted] = composite_memo[i].try_emplace(bound_cols, 0);
-          if (inserted) it->second = DistinctComposite(*stats[i], bound_cols);
-          composite = it->second;
+          composite = DistinctComposite(*stats[i], bound_cols);
         }
         if (composite > 0) {
           est /= static_cast<double>(composite);

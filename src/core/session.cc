@@ -38,8 +38,9 @@ uint64_t MicrosSince(ExecContext::Clock::time_point start) {
           .count());
 }
 
-/// Which front end a text statement takes.
-enum class Syntax { kFo, kSqlBoolean, kSqlAnswers };
+/// Which front end a text statement takes; kSql accepts either kind of
+/// SQL statement.
+enum class Syntax { kFo, kSqlBoolean, kSqlAnswers, kSql };
 
 /// A text statement after its front end.
 struct Statement {
@@ -62,12 +63,14 @@ Result<Statement> FrontEnd(const std::string& text, Syntax syntax,
   }
   TraceSpan compile_span(trace, TracePhase::kCompile);
   PDB_ASSIGN_OR_RETURN(out.compiled, CompileSql(text, db));
-  const bool boolean = syntax == Syntax::kSqlBoolean;
-  if (out.compiled.boolean != boolean) {
+  const bool boolean = out.compiled.boolean;
+  if (syntax == Syntax::kSqlBoolean && !boolean) {
     return Status::InvalidArgument(
-        boolean ? "query selects columns; use QuerySqlAnswers (or SELECT "
-                  "PROB())"
-                : "SELECT PROB() is Boolean; use QuerySqlBoolean");
+        "query selects columns; use QuerySqlAnswers (or SELECT PROB())");
+  }
+  if (syntax == Syntax::kSqlAnswers && boolean) {
+    return Status::InvalidArgument(
+        "SELECT PROB() is Boolean; use QuerySqlBoolean");
   }
   if (out.compiled.target_stderr > 0) {
     out.options.monte_carlo_target_stderr = out.compiled.target_stderr;
@@ -366,11 +369,18 @@ Result<T> Session::TopLevel(const QueryOptions& options,
   tickers_.queries->Add(1);
   tickers_.query_latency_us->Record(latency_us);
   if (sql) tickers_.sql_statement_latency_us->Record(latency_us);
+  // The Boolean answer, if the call produced one.
+  QueryAnswer* answer = nullptr;
+  if constexpr (std::is_same_v<T, QueryAnswer>) {
+    if (result.ok()) answer = &*result;
+  } else if constexpr (std::is_same_v<T, SqlAnswer>) {
+    if (result.ok() && result->boolean) answer = &result->answer;
+  }
   if (!result.ok()) {
     // Dashboards read the error rate as errors / pdb_queries_total.
     tickers_.query_errors->Add(1);
-  } else if constexpr (std::is_same_v<T, QueryAnswer>) {
-    switch (result->method) {
+  } else if (answer != nullptr) {
+    switch (answer->method) {
       case InferenceMethod::kLifted:
         tickers_.queries_lifted->Add(1);
         break;
@@ -384,7 +394,7 @@ Result<T> Session::TopLevel(const QueryOptions& options,
         tickers_.queries_plan_bounds->Add(1);
         break;
     }
-    if (trace) result->trace = trace;
+    if (trace) answer->trace = trace;
   }
   if (trace) {
     // A caller's trace stays open for the spans it records after us.
@@ -453,6 +463,32 @@ Result<Relation> Session::QuerySqlAnswers(const std::string& sql,
         return QueryWithAnswersInternal(statement.compiled.cq,
                                         statement.compiled.head_vars,
                                         statement.options, info, t);
+      });
+}
+
+Result<SqlAnswer> Session::QuerySql(const std::string& sql,
+                                    const QueryOptions& options,
+                                    std::shared_ptr<QueryTrace> trace) {
+  return TopLevel<SqlAnswer>(
+      options, std::move(trace), /*sql=*/true,
+      [&](QueryTrace* t) -> Result<SqlAnswer> {
+        PDB_ASSIGN_OR_RETURN(
+            Statement statement,
+            FrontEnd(sql, Syntax::kSql, db_->database(), options, t));
+        SqlAnswer out;
+        out.boolean = statement.compiled.boolean;
+        if (out.boolean) {
+          PDB_ASSIGN_OR_RETURN(out.answer,
+                               QueryFoInternal(statement.sentence,
+                                               statement.options, t));
+        } else {
+          PDB_ASSIGN_OR_RETURN(
+              out.tuples, QueryWithAnswersInternal(
+                              statement.compiled.cq,
+                              statement.compiled.head_vars,
+                              statement.options, &out.info, t));
+        }
+        return out;
       });
 }
 

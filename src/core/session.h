@@ -10,14 +10,14 @@
 /// queries from as many threads as you like against one session.
 ///
 /// Entry points: `Query` (FO or UCQ text), `QuerySqlBoolean`,
-/// `QuerySqlAnswers`, `QueryWithAnswers` (a CQ with head variables) and
-/// `ExplainSql`. Each call takes one path: a front end (parse or compile),
-/// the engine, and one accounting step that counts the call whatever its
-/// outcome — one `pdb_queries_total`, one latency sample, one
-/// `pdb_query_errors_total` on failure, and its trace, if any, kept in the
-/// ring.
+/// `QuerySqlAnswers`, `QuerySql` (either kind of SQL statement),
+/// `QueryWithAnswers` (a CQ with head variables) and `ExplainSql`. Each
+/// call takes one path: a front end (parse or compile), the engine, and
+/// one accounting step that counts the call whatever its outcome — one
+/// `pdb_queries_total`, one latency sample, one `pdb_query_errors_total`
+/// on failure, and its trace, if any, kept in the ring.
 ///
-/// Traces: `Query`, `QuerySqlBoolean` and `QuerySqlAnswers` take an
+/// Traces: `Query` and the three `QuerySql*` entry points take an
 /// optional caller trace, which takes precedence over
 /// `QueryOptions::trace`. The engine records its spans into it and the
 /// session keeps it in `recent_traces()` but does not finish it: the caller
@@ -111,6 +111,15 @@ struct SessionOptions {
   size_t trace_ring_size = 32;
 };
 
+/// What `Session::QuerySql` returns: the answer of a SELECT PROB()
+/// statement, or the answer tuples of a column select.
+struct SqlAnswer {
+  bool boolean = false;
+  QueryAnswer answer;  ///< when `boolean`
+  Relation tuples;     ///< otherwise, with one `info` entry per row
+  std::vector<AnswerTupleInfo> info;
+};
+
 /// A long-lived, thread-safe query session over one `ProbDatabase`.
 class Session {
  public:
@@ -155,6 +164,13 @@ class Session {
                                        nullptr,
                                    std::shared_ptr<QueryTrace> trace =
                                        nullptr);
+
+  /// Evaluates either kind of SQL statement, as QuerySqlBoolean or
+  /// QuerySqlAnswers would: one parse, inside the statement's compile
+  /// span, decides which it is. `trace` as in Query.
+  Result<SqlAnswer> QuerySql(const std::string& sql,
+                             const QueryOptions& options = {},
+                             std::shared_ptr<QueryTrace> trace = nullptr);
 
   /// EXPLAIN [ANALYZE] <sql>: compiles the statement, runs the safety
   /// check (the lifted compiler either produces a polynomial extensional

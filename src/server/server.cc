@@ -999,30 +999,29 @@ bool PdbServer::HandleQuery(int fd, const HttpRequest& request,
     return sent && request.keep_alive;
   }
 
-  const bool sql = LooksLikeSql(request.body);
-  if (sql) {
-    Result<SqlSelect> parsed = ParseSql(request.body);
-    if (!parsed.ok()) {
-      return SendError(fd, 400, parsed.status().message(), request.keep_alive);
+  // Boolean: SELECT PROB() SQL, an FO sentence or datalog-style UCQ
+  // shorthand. A SQL body is parsed once, by the session inside its
+  // compile span, and that parse decides whether it is Boolean.
+  QueryAnswer answer;
+  if (LooksLikeSql(request.body)) {
+    DbReadLock db_lock(options_.durable);
+    Result<SqlAnswer> result =
+        session->QuerySql(request.body, query_options, trace);
+    db_lock.Release();  // the result owns its rows; stream without the lock
+    if (!result.ok()) {
+      if (trace) trace->Finish();
+      return SendError(fd, StatusToHttp(result.status()),
+                       result.status().message(), request.keep_alive);
     }
-    if (!parsed->boolean) {
-      std::vector<AnswerTupleInfo> info;
-      DbReadLock db_lock(options_.durable);
-      Result<Relation> answers =
-          session->QuerySqlAnswers(request.body, query_options, &info, trace);
-      db_lock.Release();  // `answers` owns its rows; stream without the lock
-      if (!answers.ok()) {
-        if (trace) trace->Finish();
-        return SendError(fd, StatusToHttp(answers.status()),
-                         answers.status().message(), request.keep_alive);
-      }
+    if (!result->boolean) {
       CountResponse(200);
       // Stream per tuple: the head goes out first, then each answer row as
       // its own chunk, so a consumer sees rows as they serialize instead of
       // one monolithic buffer.
       TraceSpan respond_span(trace.get(), TracePhase::kHttpRespond);
       if (!SendAll(fd, head)) return false;
-      const Relation& relation = *answers;
+      const Relation& relation = result->tuples;
+      const std::vector<AnswerTupleInfo>& info = result->info;
       for (size_t i = 0; i < relation.size(); ++i) {
         const AnswerTupleInfo* tuple_info =
             i < info.size() ? &info[i] : nullptr;
@@ -1043,23 +1042,22 @@ bool PdbServer::HandleQuery(int fd, const HttpRequest& request,
                   trace);
       return sent && request.keep_alive;
     }
-  }
-
-  // Boolean: SELECT PROB() SQL, an FO sentence or datalog-style UCQ
-  // shorthand.
-  DbReadLock db_lock(options_.durable);
-  Result<QueryAnswer> answer =
-      sql ? session->QuerySqlBoolean(request.body, query_options, trace)
-          : session->Query(request.body, query_options, trace);
-  db_lock.Release();
-  if (!answer.ok()) {
-    if (trace) trace->Finish();
-    return SendError(fd, StatusToHttp(answer.status()),
-                     answer.status().message(), request.keep_alive);
+    answer = std::move(result->answer);
+  } else {
+    DbReadLock db_lock(options_.durable);
+    Result<QueryAnswer> result =
+        session->Query(request.body, query_options, trace);
+    db_lock.Release();
+    if (!result.ok()) {
+      if (trace) trace->Finish();
+      return SendError(fd, StatusToHttp(result.status()),
+                       result.status().message(), request.keep_alive);
+    }
+    answer = std::move(*result);
   }
   CountResponse(200);
   std::string out = head;
-  out += RenderHttpChunk(BooleanAnswerJson(*answer));
+  out += RenderHttpChunk(BooleanAnswerJson(answer));
   out += RenderHttpChunk(
       StrFormat("{\"done\":true,\"rows\":1,\"elapsed_us\":%llu}\n",
                 static_cast<unsigned long long>(NowMicros() - start_us)));
@@ -1068,7 +1066,7 @@ bool PdbServer::HandleQuery(int fd, const HttpRequest& request,
   bool sent = SendAll(fd, out);
   respond_span.End();
   FinishQuery(session, client_id, request.body,
-              InferenceMethodToString(answer->method), start_us, trace);
+              InferenceMethodToString(answer.method), start_us, trace);
   return sent && request.keep_alive;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
 #include "storage/relation.h"
 #include "util/check.h"
@@ -98,14 +97,26 @@ uint64_t CompositeCode(const ColumnarRelation& cols,
 size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols) {
   if (key_cols.empty()) return 0;
-  std::vector<uint64_t> radix;
-  if (!MixedRadix(cols, key_cols, &radix)) return 0;
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(cols.num_rows());
-  for (size_t row = 0; row < cols.num_rows(); ++row) {
-    seen.insert(CompositeCode(cols, key_cols, radix, row));
+  {
+    std::lock_guard<std::mutex> lock(cols.composite_mu_);
+    auto it = cols.composite_counts_.find(key_cols);
+    if (it != cols.composite_counts_.end()) return it->second;
   }
-  return seen.size();
+  // Counted outside the lock; two threads racing on one key compute the
+  // same count, and the first to finish records it.
+  size_t count = 0;
+  std::vector<uint64_t> radix;
+  if (MixedRadix(cols, key_cols, &radix)) {
+    std::vector<uint64_t> codes(cols.num_rows());
+    for (size_t row = 0; row < codes.size(); ++row) {
+      codes[row] = CompositeCode(cols, key_cols, radix, row);
+    }
+    std::sort(codes.begin(), codes.end());
+    count = static_cast<size_t>(
+        std::unique(codes.begin(), codes.end()) - codes.begin());
+  }
+  std::lock_guard<std::mutex> lock(cols.composite_mu_);
+  return cols.composite_counts_.try_emplace(key_cols, count).first->second;
 }
 
 ColumnarIndex::ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols,

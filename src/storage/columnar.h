@@ -29,7 +29,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "storage/value.h"
@@ -39,7 +41,8 @@ namespace pdb {
 class Relation;
 
 /// Dictionary-encoded, column-major image of one relation. Immutable once
-/// built; safe to share across threads.
+/// built (a mutation of the relation builds a new image); safe to share
+/// across threads.
 class ColumnarRelation {
  public:
   /// Sentinel for "value not in this column's dictionary". Never a valid
@@ -70,6 +73,9 @@ class ColumnarRelation {
   uint32_t CodeOf(size_t col, const Value& value) const;
 
  private:
+  friend size_t DistinctComposite(const ColumnarRelation& cols,
+                                  const std::vector<size_t>& key_cols);
+
   struct Column {
     std::vector<Value> dict;      // sorted ascending
     std::vector<uint32_t> codes;  // one per row
@@ -77,6 +83,10 @@ class ColumnarRelation {
 
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
+  /// DistinctComposite's counts by key-column list, each computed once:
+  /// the image never changes, and sessions sharing the relation share it.
+  mutable std::mutex composite_mu_;
+  mutable std::map<std::vector<size_t>, size_t> composite_counts_;
 };
 
 /// Translation table from `src` dictionary codes to `dst` dictionary codes:
@@ -91,7 +101,9 @@ std::vector<uint32_t> BuildCodeTranslation(const std::vector<Value>& src,
 /// product, this counts the key combinations that actually occur, so a
 /// correlated pair (say y == x) reports n instead of n². Returns 0 when
 /// the mixed-radix composite code would overflow 64 bits (callers fall
-/// back to the independence product) or when `key_cols` is empty.
+/// back to the independence product) or when `key_cols` is empty. The
+/// first call for a key-column list sorts the rows' composite codes; the
+/// image keeps the count, so later calls, from any thread, look it up.
 size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols);
 

@@ -14,7 +14,10 @@ namespace pdb {
 
 class UnionFind {
  public:
-  explicit UnionFind(size_t n) : parent_(n) {
+  explicit UnionFind(size_t n = 0) { Reset(n); }
+  /// Makes 0..n-1 singletons again, reusing the array's capacity.
+  void Reset(size_t n) {
+    parent_.resize(n);
     std::iota(parent_.begin(), parent_.end(), 0);
   }
   size_t Find(size_t x) {

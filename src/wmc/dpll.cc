@@ -7,7 +7,6 @@
 #include "util/check.h"
 #include "util/independent_or.h"
 #include "util/string_util.h"
-#include "util/union_find.h"
 
 namespace pdb {
 
@@ -17,11 +16,11 @@ namespace {
 /// The component invariant: groups must partition the node's children into
 /// pairwise variable-disjoint sets.
 bool GroupsAreVarDisjoint(FormulaManager* mgr,
-                          const std::vector<std::vector<NodeId>>& groups) {
+                          const std::vector<std::span<const NodeId>>& groups) {
   std::vector<VarId> all;
   for (const auto& members : groups) {
     for (NodeId m : members) {
-      const std::vector<VarId>& vars = mgr->VarsOf(m);
+      std::span<const VarId> vars = mgr->VarsOf(m);
       all.insert(all.end(), vars.begin(), vars.end());
     }
   }
@@ -33,7 +32,7 @@ bool GroupsAreVarDisjoint(FormulaManager* mgr,
   for (const auto& members : groups) {
     std::vector<VarId> group_vars;
     for (NodeId m : members) {
-      const std::vector<VarId>& vars = mgr->VarsOf(m);
+      std::span<const VarId> vars = mgr->VarsOf(m);
       group_vars.insert(group_vars.end(), vars.begin(), vars.end());
     }
     std::sort(group_vars.begin(), group_vars.end());
@@ -53,6 +52,9 @@ Result<double> DpllCounter::Compute(NodeId root) {
                ? Status::ResourceExhausted("DPLL cancelled before start")
                : Status::DeadlineExceeded("deadline expired before DPLL");
   }
+  root_ = root;
+  groups_.clear();  // a run stopped early leaves its splits' groups
+  group_members_.clear();
   auto entry = Count(root);
   if (options_.exec) {
     options_.exec->Add(ExecCounter::kCacheHits, stats_.cache_hits);
@@ -68,7 +70,7 @@ Result<double> DpllCounter::Compute(NodeId root) {
 }
 
 VarId DpllCounter::ChooseVar(NodeId f) {
-  const std::vector<VarId>& vars = mgr_->VarsOf(f);
+  std::span<const VarId> vars = mgr_->VarsOf(f);
   PDB_CHECK(!vars.empty());
   if (options_.heuristic == DpllHeuristic::kLowestVar) return vars[0];
   // kMostOccurrences: the variable contained in the most top-level children,
@@ -91,23 +93,22 @@ VarId DpllCounter::ChooseVar(NodeId f) {
   return best;
 }
 
-std::vector<std::vector<NodeId>> DpllCounter::Components(NodeId f) {
+size_t DpllCounter::Components(NodeId f) {
   auto kids = mgr_->children(f);
-  const std::vector<VarId>& vars = mgr_->VarsOf(f);
+  std::span<const VarId> vars = mgr_->VarsOf(f);
   if (first_child_.empty()) first_child_.assign(weights_.size(), kNoChild);
-  UnionFind uf(kids.size());
+  child_sets_.Reset(kids.size());
   size_t num_groups = kids.size();
   for (size_t i = 0; i < kids.size() && num_groups > 1; ++i) {
     for (VarId v : mgr_->VarsOf(kids[i])) {
       uint32_t& first = first_child_[v];
       if (first == kNoChild) {
         first = static_cast<uint32_t>(i);
-      } else if (uf.Union(i, first)) {
+      } else if (child_sets_.Union(i, first)) {
         --num_groups;
       }
     }
   }
-  std::vector<std::vector<NodeId>> groups;
   if (num_groups > 1) {
     // Canonical component order: ascending smallest VarId. The partition
     // itself is a pure function of the unordered structure, but the
@@ -117,31 +118,47 @@ std::vector<std::vector<NodeId>> DpllCounter::Components(NodeId f) {
     // shared-cache hits would no longer be bit-identical. Components are
     // variable-disjoint, so walking the sorted variables meets each
     // component first at its smallest VarId.
-    std::vector<uint32_t> group_of_rep(kids.size(), kNoChild);
-    groups.reserve(num_groups);
+    const size_t first_group = groups_.size();
+    group_of_rep_.assign(kids.size(), kNoChild);
     for (VarId v : vars) {
-      uint32_t& group = group_of_rep[uf.Find(first_child_[v])];
+      uint32_t& group = group_of_rep_[child_sets_.Find(first_child_[v])];
       if (group == kNoChild) {
-        group = static_cast<uint32_t>(groups.size());
-        groups.emplace_back();
+        group = static_cast<uint32_t>(groups_.size());
+        groups_.emplace_back(0, 0);
       }
     }
+    // Lay the groups out contiguously, members in stored order: count each
+    // group's members, then place every child at its group's next slot.
+    // A representative's entry already names its own group, so rewriting
+    // each child's entry to its group leaves every later lookup intact.
     for (size_t i = 0; i < kids.size(); ++i) {
-      groups[group_of_rep[uf.Find(i)]].push_back(kids[i]);
+      const uint32_t group = group_of_rep_[child_sets_.Find(i)];
+      group_of_rep_[i] = group;
+      ++groups_[group].second;
+    }
+    uint32_t next = static_cast<uint32_t>(group_members_.size());
+    for (size_t g = first_group; g < groups_.size(); ++g) {
+      groups_[g].first = next;
+      next += groups_[g].second;
+      groups_[g].second = groups_[g].first;
+    }
+    group_members_.resize(next);
+    for (size_t i = 0; i < kids.size(); ++i) {
+      group_members_[groups_[group_of_rep_[i]].second++] = kids[i];
     }
   }
   for (VarId v : vars) first_child_[v] = kNoChild;
-  return groups;
+  return num_groups > 1 ? num_groups : 0;
 }
 
-double DpllCounter::TotalWeight(const std::vector<VarId>& vars) const {
+double DpllCounter::TotalWeight(std::span<const VarId> vars) const {
   double total = 1.0;
   for (VarId v : vars) total *= weights_[v].sum();
   return total;
 }
 
-double DpllCounter::FreedVarsFactor(const std::vector<VarId>& all,
-                                    const std::vector<VarId>& sub,
+double DpllCounter::FreedVarsFactor(std::span<const VarId> all,
+                                    std::span<const VarId> sub,
                                     VarId decided) {
   double factor = 1.0;
   size_t j = 0;
@@ -171,10 +188,9 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
     default:
       break;
   }
-  auto it = cache_.find(f);
-  if (it != cache_.end()) {
+  if (f < cache_.size() && cache_[f].filled) {
     ++stats_.cache_hits;
-    return it->second;
+    return cache_[f].entry;
   }
 
   CacheEntry result;
@@ -186,14 +202,14 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
     if (sink) {
       result.trace = sink->Decision(v, sink->TrueNode(), sink->FalseNode());
     }
-    cache_.emplace(f, result);
+    Store(f, result);
     return result;
   }
 
-  // Session-shared cross-query cache: probed after the local NodeId cache
-  // (which is a plain hash lookup, no hashing of structure), only for
-  // subformulas big enough to amortise the signature/fingerprint cost, and
-  // only until the run's miss budget is spent. A hit is an identical
+  // Session-shared cross-query cache: probed after the local cache (an
+  // array read, no hashing of structure), only for subformulas big enough
+  // to amortise the signature/fingerprint cost, and only until the run's
+  // miss budget is spent. A hit is an identical
   // subproblem — same unordered structure, same weights — so the cached
   // double is bit-identical to what the search below would compute (the
   // search is canonical in the unordered structure: see the component
@@ -216,7 +232,9 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
     if (hit) {
       ++stats_.shared_hits;
       result.value = *hit;
-      cache_.emplace(f, result);
+      // A hit at the root ends the run; recording it would size the local
+      // cache to the whole manager for nothing.
+      if (f != root_) Store(f, result);
       return result;
     }
     ++stats_.shared_misses;
@@ -230,15 +248,24 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
   if (options_.use_components &&
       (kind == FormulaKind::kAnd ||
        (kind == FormulaKind::kOr && sink == nullptr))) {
-    std::vector<std::vector<NodeId>> groups = Components(f);
-    if (!groups.empty()) {
+    const size_t first_group = groups_.size();
+    const size_t num_groups = Components(f);
+    if (num_groups > 0) {
+      const size_t end_group = first_group + num_groups;
+#ifdef PDB_ASSERTIONS
+      std::vector<std::span<const NodeId>> groups;
+      for (size_t g = first_group; g < end_group; ++g) {
+        groups.push_back(GroupMembers(g));
+      }
       PDB_ASSERT(GroupsAreVarDisjoint(mgr_, groups));
+#endif
       ++stats_.component_splits;
       if (kind == FormulaKind::kAnd) {
         std::vector<DpllTraceSink::Ref> refs;
         result.value = 1.0;
-        for (const auto& members : groups) {
-          PDB_ASSIGN_OR_RETURN(CacheEntry sub, Count(mgr_->And(members)));
+        for (size_t g = first_group; g < end_group; ++g) {
+          PDB_ASSIGN_OR_RETURN(CacheEntry sub,
+                               Count(mgr_->And(GroupMembers(g))));
           result.value *= sub.value;
           if (sink) refs.push_back(sub.trace);
         }
@@ -249,15 +276,18 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
         // groups folded so far.
         result.value = 0.0;
         double total = 1.0;
-        for (const auto& members : groups) {
-          NodeId component = mgr_->Or(members);
+        for (size_t g = first_group; g < end_group; ++g) {
+          NodeId component = mgr_->Or(GroupMembers(g));
           PDB_ASSIGN_OR_RETURN(CacheEntry sub, Count(component));
           const double z = TotalWeight(mgr_->VarsOf(component));
           result.value = DisjointOrCount(result.value, total, sub.value, z);
           total *= z;
         }
       }
-      cache_.emplace(f, result);
+      // Pop this split's groups; the nested splits have popped theirs.
+      group_members_.resize(groups_[first_group].first);
+      groups_.resize(first_group);
+      Store(f, result);
       if (shared_key) options_.shared_cache->Insert(*shared_key, result.value);
       return result;
     }
@@ -284,7 +314,8 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
                                    stats_.decisions)));
   }
   VarId v = ChooseVar(f);
-  const std::vector<VarId> all_vars = mgr_->VarsOf(f);  // copy: map may grow
+  // Var sets never move, so this span outlives the cofactors below.
+  std::span<const VarId> all_vars = mgr_->VarsOf(f);
   NodeId f0 = mgr_->Cofactor(f, v, false);
   NodeId f1 = mgr_->Cofactor(f, v, true);
   PDB_ASSIGN_OR_RETURN(CacheEntry e0, Count(f0));
@@ -294,9 +325,16 @@ Result<DpllCounter::CacheEntry> DpllCounter::Count(NodeId f) {
   result.value = weights_[v].w_false * e0.value * corr0 +
                  weights_[v].w_true * e1.value * corr1;
   if (sink) result.trace = sink->Decision(v, e0.trace, e1.trace);
-  cache_.emplace(f, result);
+  Store(f, result);
   if (shared_key) options_.shared_cache->Insert(*shared_key, result.value);
   return result;
+}
+
+void DpllCounter::Store(NodeId f, const CacheEntry& entry) {
+  if (f >= cache_.size()) {
+    cache_.resize(std::max<size_t>(mgr_->NumNodes(), 2 * cache_.size()));
+  }
+  cache_[f] = {entry, true};
 }
 
 std::optional<WmcCache::Key> DpllCounter::SharedKey(NodeId f) {
@@ -304,7 +342,7 @@ std::optional<WmcCache::Key> DpllCounter::SharedKey(NodeId f) {
       stats_.shared_misses >= kSharedMissBudget) {
     return std::nullopt;
   }
-  const std::vector<VarId>& vars = mgr_->VarsOf(f);
+  std::span<const VarId> vars = mgr_->VarsOf(f);
   if (vars.size() < options_.shared_cache_min_vars) return std::nullopt;
   WmcCache::Key key;
   key.sig = mgr_->SignatureOf(f);

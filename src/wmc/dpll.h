@@ -24,11 +24,13 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "boolean/formula.h"
 #include "exec/context.h"
+#include "util/union_find.h"
 #include "wmc/weights.h"
 #include "wmc/wmc_cache.h"
 
@@ -74,7 +76,7 @@ struct DpllOptions {
   /// context's cache-hit counter.
   ExecContext* exec = nullptr;
   /// Optional session-owned cross-query cache (wmc/wmc_cache.h), probed
-  /// after the counter's local NodeId cache. A run probes until it has
+  /// after the counter's local cache. A run probes until it has
   /// missed `DpllCounter::kSharedMissBudget` times and publishes the
   /// subresults of exactly the nodes it probed. Keys are canonical
   /// structural signatures plus a weight fingerprint, so a hit
@@ -136,28 +138,48 @@ class DpllCounter {
     double value = 0;
     DpllTraceSink::Ref trace = 0;
   };
+  /// One slot of the local cache; `filled` once the node's count is known.
+  struct CacheSlot {
+    CacheEntry entry;
+    bool filled = false;
+  };
 
   Result<CacheEntry> Count(NodeId f);
+  /// Records `entry` as the count of `f` in the local cache.
+  void Store(NodeId f, const CacheEntry& entry);
   /// Shared-cache key for `f`, or nullopt when the shared cache is off,
   /// a trace sink is attached, the run has spent its miss budget, or `f`
   /// is below the probe threshold.
   std::optional<WmcCache::Key> SharedKey(NodeId f);
   VarId ChooseVar(NodeId f);
-  /// The children of the kAnd/kOr node `f` partitioned into variable-
+  /// Partitions the children of the kAnd/kOr node `f` into variable-
   /// disjoint groups, in ascending order of each group's smallest VarId,
-  /// members in stored order; empty when the children are connected.
-  std::vector<std::vector<NodeId>> Components(NodeId f);
+  /// members in stored order, and pushes them onto the group stack
+  /// (`groups_`, `group_members_`). Returns the number of groups, or 0,
+  /// pushing nothing, when the children are connected.
+  size_t Components(NodeId f);
+  /// Members of group `g` of the group stack.
+  std::span<const NodeId> GroupMembers(size_t g) const {
+    return {group_members_.data() + groups_[g].first,
+            groups_[g].second - groups_[g].first};
+  }
   /// Product of (w+w̄) over `vars`: the count of `true` over them.
-  double TotalWeight(const std::vector<VarId>& vars) const;
+  double TotalWeight(std::span<const VarId> vars) const;
   /// Product of (w+w̄) over variables in `all` but not in `sub`.
-  double FreedVarsFactor(const std::vector<VarId>& all,
-                         const std::vector<VarId>& sub, VarId decided);
+  double FreedVarsFactor(std::span<const VarId> all,
+                         std::span<const VarId> sub, VarId decided);
 
   FormulaManager* mgr_;
   WeightMap weights_;
   DpllOptions options_;
   DpllStats stats_;
-  std::unordered_map<NodeId, CacheEntry> cache_;
+  /// The root of the current Compute.
+  NodeId root_ = 0;
+  /// Local cache, indexed by NodeId. It grows to the manager's size when a
+  /// run first stores a count. A root answered by the shared cache is not
+  /// recorded, so that run allocates nothing (and computing the same root
+  /// again probes the shared cache again).
+  std::vector<CacheSlot> cache_;
   DpllTraceSink::Ref root_trace_ = 0;
   // Per-variable scratch, indexed by VarId, sized on first use (a run
   // answered by the shared cache at its root needs neither) and restored
@@ -166,6 +188,14 @@ class DpllCounter {
   static constexpr uint32_t kNoChild = UINT32_MAX;
   std::vector<uint32_t> occurrences_;
   std::vector<uint32_t> first_child_;
+  // Components' per-call scratch over the node's children, reused.
+  UnionFind child_sets_;
+  std::vector<uint32_t> group_of_rep_;
+  // The group stack: each split pushes its groups as [begin, end) ranges
+  // of `group_members_` and pops them once all are counted, so a nested
+  // split's groups sit above its ancestors'.
+  std::vector<std::pair<uint32_t, uint32_t>> groups_;
+  std::vector<NodeId> group_members_;
 };
 
 }  // namespace pdb

@@ -17,7 +17,7 @@ Status CheckVarCount(size_t n, size_t limit) {
   return Status::OK();
 }
 
-size_t AssignmentSize(const std::vector<VarId>& vars) {
+size_t AssignmentSize(std::span<const VarId> vars) {
   size_t max_var = 0;
   for (VarId v : vars) max_var = std::max<size_t>(max_var, v);
   return vars.empty() ? 0 : max_var + 1;
@@ -27,7 +27,7 @@ size_t AssignmentSize(const std::vector<VarId>& vars) {
 
 Result<double> EnumerateProbability(FormulaManager* mgr, NodeId root,
                                     const std::vector<double>& probs) {
-  const std::vector<VarId>& vars = mgr->VarsOf(root);
+  std::span<const VarId> vars = mgr->VarsOf(root);
   PDB_RETURN_NOT_OK(CheckVarCount(vars.size(), kMaxEnumerationVars));
   double total = 0.0;
   std::vector<bool> assignment(AssignmentSize(vars), false);
@@ -46,7 +46,7 @@ Result<double> EnumerateProbability(FormulaManager* mgr, NodeId root,
 
 Result<double> EnumerateWmc(FormulaManager* mgr, NodeId root,
                             const WeightMap& weights) {
-  const std::vector<VarId>& vars = mgr->VarsOf(root);
+  std::span<const VarId> vars = mgr->VarsOf(root);
   PDB_RETURN_NOT_OK(CheckVarCount(vars.size(), kMaxEnumerationVars));
   double total = 0.0;
   std::vector<bool> assignment(AssignmentSize(vars), false);
@@ -71,7 +71,7 @@ Result<BigRational> EnumerateProbabilityExact(
 
 Result<BigRational> EnumerateWmcExact(FormulaManager* mgr, NodeId root,
                                       const RationalWeightMap& weights) {
-  const std::vector<VarId>& vars = mgr->VarsOf(root);
+  std::span<const VarId> vars = mgr->VarsOf(root);
   PDB_RETURN_NOT_OK(CheckVarCount(vars.size(), kMaxExactEnumerationVars));
   BigRational total;
   std::vector<bool> assignment(AssignmentSize(vars), false);
@@ -92,7 +92,7 @@ Result<BigRational> EnumerateWmcExact(FormulaManager* mgr, NodeId root,
 }
 
 Result<BigInt> CountModels(FormulaManager* mgr, NodeId root) {
-  const std::vector<VarId>& vars = mgr->VarsOf(root);
+  std::span<const VarId> vars = mgr->VarsOf(root);
   PDB_RETURN_NOT_OK(CheckVarCount(vars.size(), kMaxEnumerationVars));
   BigInt count;
   std::vector<bool> assignment(AssignmentSize(vars), false);

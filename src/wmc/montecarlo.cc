@@ -31,9 +31,10 @@ uint64_t NumSampleShards(uint64_t samples) {
 Estimate NaiveMonteCarlo(FormulaManager* mgr, NodeId root,
                          const std::vector<double>& probs, uint64_t samples,
                          Rng* rng, ExecContext* ctx) {
-  // Warm the VarsOf cache before the fan-out: VarsOf mutates the manager,
-  // Evaluate is a const traversal that workers may run concurrently.
-  const std::vector<VarId> vars = mgr->VarsOf(root);
+  // Compute the var set before the fan-out: VarsOf's first call for a node
+  // writes to the manager, Evaluate is a const traversal that workers may
+  // run concurrently.
+  std::span<const VarId> vars = mgr->VarsOf(root);
   size_t max_var = 0;
   for (VarId v : vars) max_var = std::max<size_t>(max_var, v);
 

@@ -24,7 +24,7 @@ constexpr size_t kEntryBytes =
 
 }  // namespace
 
-uint64_t WeightFingerprint(const std::vector<VarId>& vars,
+uint64_t WeightFingerprint(std::span<const VarId> vars,
                            const WeightMap& weights) {
   uint64_t fp = 0x51afd7ed558ccd00ULL;
   for (VarId v : vars) {

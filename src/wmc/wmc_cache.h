@@ -43,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,7 +57,7 @@ namespace pdb {
 /// returned by `FormulaManager::VarsOf`). Encodes both the variable set and
 /// each variable's exact (w, w̄) bits, so structurally identical formulas
 /// evaluated under different weight maps can never alias in the cache.
-uint64_t WeightFingerprint(const std::vector<VarId>& vars,
+uint64_t WeightFingerprint(std::span<const VarId> vars,
                            const WeightMap& weights);
 
 /// Aggregated counters of a `WmcCache` (sum over shards).

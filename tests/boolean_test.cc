@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "boolean/formula.h"
 #include "boolean/lineage.h"
 #include "logic/parser.h"
@@ -52,7 +57,9 @@ TEST(FormulaTest, FlattensNested) {
 TEST(FormulaTest, VarsOfIsSortedUnion) {
   FormulaManager mgr;
   NodeId f = mgr.Or(mgr.And(mgr.Var(3), mgr.Var(1)), mgr.Var(2));
-  EXPECT_EQ(mgr.VarsOf(f), (std::vector<VarId>{1, 2, 3}));
+  std::span<const VarId> vars = mgr.VarsOf(f);
+  EXPECT_EQ(std::vector<VarId>(vars.begin(), vars.end()),
+            (std::vector<VarId>{1, 2, 3}));
   EXPECT_TRUE(mgr.VarsOf(mgr.True()).empty());
 }
 
@@ -84,6 +91,94 @@ TEST(FormulaTest, CountReachable) {
   NodeId f = mgr.Or(shared, mgr.And(shared, mgr.Var(2)));
   // Nodes: or, and(0,1), and(0,1,2), x0, x1, x2 -> 6.
   EXPECT_EQ(mgr.CountReachable(f), 6u);
+}
+
+// The unique table, the var-set blocks and the child array grow in place
+// while nodes are interned. Growth is representation only: the same
+// structure interns to the same NodeId, a var-set span taken earlier still
+// reads its set, and a cofactor recomputed afterwards is the same node.
+TEST(FormulaTest, GrowthKeepsNodeIdsVarSetsAndCofactors) {
+  FormulaManager mgr;
+  NodeId a = mgr.Var(0), b = mgr.Var(1), c = mgr.Var(2);
+  const NodeId early = mgr.Or(mgr.And(a, b), mgr.And(mgr.Not(b), c));
+  std::span<const VarId> early_vars = mgr.VarsOf(early);
+  ASSERT_EQ(std::vector<VarId>(early_vars.begin(), early_vars.end()),
+            (std::vector<VarId>{0, 1, 2}));
+  EXPECT_EQ(mgr.Cofactor(early, 1, true), a);
+
+  // Terms x_v & x_{v+1} & !x_{v+2} and every prefix disjunction of them:
+  // about 2,400 nodes, so the table doubles from 32 slots eight times.
+  constexpr VarId kTerms = 600;
+  auto term = [&mgr](VarId v) {
+    return mgr.And({mgr.Var(v), mgr.Var(v + 1), mgr.Not(mgr.Var(v + 2))});
+  };
+  std::vector<NodeId> terms;
+  for (VarId v = 0; v < kTerms; ++v) terms.push_back(term(v));
+  auto prefix = [&](size_t n) {
+    return mgr.Or(std::span<const NodeId>(terms.data(), n));
+  };
+  std::vector<NodeId> prefixes;
+  std::vector<std::span<const VarId>> prefix_vars;
+  std::vector<std::pair<NodeId, NodeId>> cofactors;  // before the growth
+  for (size_t n = 2; n <= terms.size(); ++n) {
+    prefixes.push_back(prefix(n));
+    if (n == terms.size() / 2) {
+      for (size_t i = 0; i < prefixes.size(); i += 37) {
+        prefix_vars.push_back(mgr.VarsOf(prefixes[i]));
+        cofactors.emplace_back(mgr.Cofactor(prefixes[i], 5, true),
+                               mgr.Cofactor(prefixes[i], 5, false));
+      }
+    }
+  }
+  const size_t num_nodes = mgr.NumNodes();
+  ASSERT_GT(num_nodes, 2'000u);
+
+  // Re-interning every structure finds the node it made, creating none.
+  EXPECT_EQ(mgr.Or(mgr.And(a, b), mgr.And(mgr.Not(b), c)), early);
+  for (VarId v = 0; v < kTerms; ++v) ASSERT_EQ(term(v), terms[v]) << v;
+  for (size_t n = 2; n <= terms.size(); ++n) {
+    ASSERT_EQ(prefix(n), prefixes[n - 2]) << n;
+  }
+  EXPECT_EQ(mgr.NumNodes(), num_nodes);
+
+  // Spans taken before the growth read the same sets as fresh ones.
+  EXPECT_EQ(std::vector<VarId>(early_vars.begin(), early_vars.end()),
+            (std::vector<VarId>{0, 1, 2}));
+  for (size_t k = 0; k < prefix_vars.size(); ++k) {
+    std::span<const VarId> now = mgr.VarsOf(prefixes[37 * k]);
+    EXPECT_TRUE(std::equal(prefix_vars[k].begin(), prefix_vars[k].end(),
+                           now.begin(), now.end()))
+        << k;
+    // Prefix 37k covers terms 0 .. 37k+1, over x_0 .. x_{37k+3}.
+    EXPECT_EQ(now.size(), 37 * k + 4) << k;
+  }
+
+  // Recomputed without the memo, every cofactor is the node it was.
+  mgr.ClearCofactorCache();
+  for (size_t k = 0; k < cofactors.size(); ++k) {
+    EXPECT_EQ(mgr.Cofactor(prefixes[37 * k], 5, true), cofactors[k].first);
+    EXPECT_EQ(mgr.Cofactor(prefixes[37 * k], 5, false), cofactors[k].second);
+  }
+  EXPECT_EQ(mgr.Cofactor(early, 1, true), a);
+
+  // A cofactor of the widest disjunction interns new nodes in the middle
+  // of its recursion; it must still mean f with the variable fixed.
+  Rng rng(5);
+  const NodeId widest = prefixes.back();
+  for (VarId v : {VarId{0}, VarId{301}, VarId{kTerms + 1}}) {
+    for (bool value : {false, true}) {
+      const NodeId cof = mgr.Cofactor(widest, v, value);
+      for (int trial = 0; trial < 50; ++trial) {
+        std::vector<bool> assignment(kTerms + 2);
+        for (size_t i = 0; i < assignment.size(); ++i) {
+          assignment[i] = rng.NextDouble() < 0.7;
+        }
+        assignment[v] = value;
+        EXPECT_EQ(mgr.Evaluate(cof, assignment),
+                  mgr.Evaluate(widest, assignment));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include "server/http.h"
 #include "server/server.h"
 #include "server/session_pool.h"
+#include "sql/sql.h"
 #include "storage/durable_db.h"
 #include "storage/env.h"
 #include "test_common.h"
@@ -533,6 +534,15 @@ TEST_F(ServerEndToEndTest, UcqShorthandAndParseErrors) {
                   "SELECT PROB() FROM NoSuchTable")
                 .status,
             400);
+  // A SQL syntax error answers 400 with the parser's own message.
+  const std::string malformed = "SELECT PROB( FROM R";
+  TestResponse syntax_error =
+      Fetch(server_->port(), "POST", "/query", {}, malformed);
+  EXPECT_EQ(syntax_error.status, 400);
+  Status parse_status = ParseSql(malformed).status();
+  ASSERT_FALSE(parse_status.ok());
+  EXPECT_NE(syntax_error.body.find(parse_status.message()), std::string::npos)
+      << syntax_error.body;
   EXPECT_EQ(Fetch(server_->port(), "POST", "/query").status, 400);  // empty
   EXPECT_EQ(Fetch(server_->port(), "POST", "/query",
                   {{"X-Deadline-Ms", "soon"}}, "R(x)")
@@ -571,9 +581,9 @@ TEST_F(ServerEndToEndTest, ClientSessionsShowUpInMergedMetrics) {
 TEST_F(ServerEndToEndTest, DeadlineHeaderDegradesToSamplingNotError) {
   ServerOptions options;
   options.max_deadline_ms = 10'000;
-  // 120 lineage variables: exact DPLL cannot finish inside 50ms, so the
-  // deadline must kick in.
-  StartServer(options, /*db_size=*/10);
+  // 224 lineage variables: exact DPLL needs about 0.7 s (Release, 4-core
+  // x86), far beyond 50 ms, so the deadline must kick in.
+  StartServer(options, /*db_size=*/14);
   // The unsafe join needs DPLL; a tight budget forces the Monte Carlo
   // fallback, which still answers 200 (estimate, not error).
   TestResponse resp = Fetch(server_->port(), "POST", "/query",
@@ -591,16 +601,16 @@ TEST_F(ServerEndToEndTest, OverloadShedsWith429RetryAfterAndShedTotal) {
   ServerOptions options;
   options.admission.max_concurrent = 1;
   options.admission.max_queue = 0;  // every overflow sheds instantly
-  // Big enough that the slot-holding query burns its whole deadline in
-  // DPLL before falling back to sampling.
-  StartServer(options, /*db_size=*/10);
+  // Big enough that the slot-holding query burns its whole 200 ms deadline
+  // in DPLL (exact needs about 0.7 s) before falling back to sampling.
+  StartServer(options, /*db_size=*/14);
   uint16_t port = server_->port();
 
   // One slow query occupies the single execution slot...
   std::atomic<bool> slow_done{false};
   std::thread slow([port, &slow_done] {
     TestResponse resp = Fetch(port, "POST", "/query",
-                              {{"X-Deadline-Ms", "1500"}},
+                              {{"X-Deadline-Ms", "200"}},
                               "SELECT PROB() FROM R, S, T "
                               "WHERE R.x = S.x AND S.y = T.y "
                               "WITH STDERR 0.02");
@@ -806,9 +816,9 @@ TEST_F(ServerEndToEndTest, SlowQueryLogCapturesStatementAndTrace) {
   ServerOptions options;
   options.slow_query_ms = 1;
   options.max_deadline_ms = 10'000;
-  // 120 lineage variables: exact DPLL burns the whole 100ms budget before
-  // the Monte Carlo fallback, so the query is guaranteed >> 1ms.
-  StartServer(options, /*db_size=*/10);
+  // 224 lineage variables: exact DPLL (about 0.7 s) burns the whole 100 ms
+  // budget before the Monte Carlo fallback, so the query is >> 1 ms.
+  StartServer(options, /*db_size=*/14);
   const std::string slow_sql =
       "SELECT PROB() FROM R, S, T WHERE R.x = S.x AND S.y = T.y "
       "WITH STDERR 0.05";
@@ -1122,14 +1132,16 @@ TEST_F(ServerEndToEndTest, PerClientCapKeepsSecondClientResponsive) {
   options.admission.max_queue = 4;
   options.admission.max_per_client = 1;
   options.max_deadline_ms = 10'000;
-  StartServer(options, /*db_size=*/10);
+  // As in the overload test: the slow query burns its whole 200 ms
+  // deadline in DPLL (exact needs about 0.7 s).
+  StartServer(options, /*db_size=*/14);
   uint16_t port = server_->port();
 
   // "hog" occupies its single allowed slot with a slow query...
   std::atomic<bool> hog_done{false};
   std::thread hog([port, &hog_done] {
     TestResponse resp = Fetch(port, "POST", "/query",
-                              {{"X-Deadline-Ms", "1500"},
+                              {{"X-Deadline-Ms", "200"},
                                {"X-Client-Id", "hog"}},
                               "SELECT PROB() FROM R, S, T "
                               "WHERE R.x = S.x AND S.y = T.y "

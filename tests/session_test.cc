@@ -152,8 +152,9 @@ TEST(SessionTest, QueryWithAnswersHonorsDeadline) {
   // Head variable z comes from U, so every candidate's residual query
   // still contains the non-hierarchical (#P-hard) R-S-T core. With a
   // millisecond deadline each inner query must degrade to Monte Carlo via
-  // the deadline (not by grinding through the full decision budget).
-  Database db = HardDatabase(8);
+  // the deadline (not by grinding through the full decision budget): at
+  // n = 11 exact DPLL on the core needs about 50 ms, ten times the 5 ms.
+  Database db = HardDatabase(11);
   Relation u("U", Schema::Anonymous(1));
   ASSERT_TRUE(u.AddTuple({Value(static_cast<int64_t>(1))}, 0.9).ok());
   ASSERT_TRUE(u.AddTuple({Value(static_cast<int64_t>(2))}, 0.8).ok());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -329,6 +330,51 @@ TEST(ColumnarStatsTest, DistinctCompositeCountsObservedPairs) {
   }
   auto grid_cols = ColumnarRelation::Build(grid);
   EXPECT_EQ(DistinctComposite(*grid_cols, {0, 1}), 6u);  // full cross product
+}
+
+// The image computes each key-column list's count once and hands it to
+// every later caller: on any thread, the count must equal a direct count
+// of the distinct projected tuples, on the first call and every call
+// after it, so join orders and EXPLAIN's estimates cannot move.
+TEST(ColumnarStatsTest, DistinctCompositeMatchesReferenceFromAnyThread) {
+  Relation rel("S", Schema::Anonymous(3));
+  for (int64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(
+        rel.AddTuple({Value(i % 7), Value((i * 5) % 11), Value(i / 3)}, 0.5)
+            .ok());
+  }
+  auto cols = ColumnarRelation::Build(rel);
+  const std::vector<std::vector<size_t>> keys = {
+      {0}, {0, 1}, {1, 0}, {0, 2}, {1, 2}, {2, 1}, {0, 1, 2}};
+  std::vector<size_t> want;
+  for (const auto& key : keys) {
+    std::set<std::vector<Value>> seen;
+    for (const Tuple& t : rel.tuples()) {
+      std::vector<Value> projected;
+      for (size_t c : key) projected.push_back(t[c]);
+      seen.insert(std::move(projected));
+    }
+    want.push_back(seen.size());
+  }
+  EXPECT_EQ(want[1], 77u);  // every (i mod 7, 5i mod 11) pair occurs
+  std::vector<std::vector<size_t>> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const auto& key : keys) {
+          got[t].push_back(DistinctComposite(*cols, key));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<size_t>& counts : got) {
+    ASSERT_EQ(counts.size(), 3 * keys.size());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(counts[i], want[i % keys.size()]) << "key " << i % keys.size();
+    }
+  }
 }
 
 TEST(ColumnarTest, CodeTranslationAlignsTwoDictionaries) {

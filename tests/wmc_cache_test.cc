@@ -91,19 +91,20 @@ TEST(FormulaSignatureTest, DistinguishesStructure) {
 // ---------------------------------------------------------------------------
 
 TEST(WeightFingerprintTest, SensitiveToWeightsAndVarSet) {
+  using Vars = std::vector<VarId>;
   WeightMap weights = WeightsFromProbabilities({0.1, 0.2, 0.3});
-  uint64_t base = WeightFingerprint({0, 1}, weights);
-  EXPECT_EQ(base, WeightFingerprint({0, 1}, weights));  // deterministic
+  uint64_t base = WeightFingerprint(Vars{0, 1}, weights);
+  EXPECT_EQ(base, WeightFingerprint(Vars{0, 1}, weights));  // deterministic
 
   WeightMap nudged = weights;
   nudged[1].w_true += 1e-16;  // any bit flip must change the fingerprint
-  EXPECT_NE(base, WeightFingerprint({0, 1}, nudged));
-  EXPECT_NE(base, WeightFingerprint({0, 2}, weights));
-  EXPECT_NE(base, WeightFingerprint({0, 1, 2}, weights));
+  EXPECT_NE(base, WeightFingerprint(Vars{0, 1}, nudged));
+  EXPECT_NE(base, WeightFingerprint(Vars{0, 2}, weights));
+  EXPECT_NE(base, WeightFingerprint(Vars{0, 1, 2}, weights));
   // Weights of variables outside the set are irrelevant.
   WeightMap other = weights;
   other[2].w_true = 0.9;
-  EXPECT_EQ(base, WeightFingerprint({0, 1}, other));
+  EXPECT_EQ(base, WeightFingerprint(Vars{0, 1}, other));
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@
 #include "wmc/enumeration.h"
 #include "wmc/montecarlo.h"
 #include "wmc/weights.h"
+#include "wmc/wmc_cache.h"
+#include "workloads.h"
 
 namespace pdb {
 namespace {
@@ -270,6 +272,39 @@ TEST(DpllTest, DisjointDisjunctsNeedNoDecisions) {
   }
 }
 
+// Cold-read's 9x9 H0 block (34 edges, 52 variables), counted by the
+// search as it stands: the probability's bits and the search's counts are
+// pinned, so a change to the formula manager or the counter's bookkeeping
+// that alters the search, or the rounding of its fold, fails here.
+TEST(DpllTest, LargeH0BlockKeepsItsBitsAndCounts) {
+  Rng gen(24);
+  Database db =
+      bench::H0BlockDatabase(9, bench::BlockEdges(9, 0.5, 1), 0.05, 0.25, &gen);
+  auto ucq = FoToUcq(*ParseUcqShorthand("R(x), S(x,y), T(y)"));
+  ASSERT_TRUE(ucq.ok());
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared cache" : "no shared cache");
+    FormulaManager mgr;
+    auto lineage = BuildUcqLineage(*ucq, db, &mgr);
+    ASSERT_TRUE(lineage.ok());
+    ASSERT_EQ(lineage->probs.size(), 52u);
+    WmcCache cache;
+    DpllOptions options;
+    if (shared) options.shared_cache = &cache;
+    DpllCounter counter(&mgr, WeightsFromProbabilities(lineage->probs),
+                        options);
+    auto p = counter.Compute(lineage->root);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(*p), 0x3fb98d6c1894c33fULL) << *p;
+    EXPECT_EQ(counter.stats().decisions, 358u);
+    EXPECT_EQ(counter.stats().cache_hits, 458u);
+    EXPECT_EQ(counter.stats().component_splits, 512u);
+    EXPECT_EQ(counter.stats().shared_hits, 0u);
+    EXPECT_EQ(counter.stats().shared_misses,
+              shared ? DpllCounter::kSharedMissBudget : 0u);
+  }
+}
+
 // The counter as it was when only conjunctions split: a NodeId cache,
 // std::map bookkeeping, conjunction components in ascending smallest-VarId
 // order, and Shannon expansion on the variable in the most children. With
@@ -350,13 +385,13 @@ class ConjunctionSplitCounter {
         best = n;
       }
     }
-    const std::vector<VarId> all = mgr_->VarsOf(f);
+    std::span<const VarId> all = mgr_->VarsOf(f);
     NodeId f0 = mgr_->Cofactor(f, v, false);
     NodeId f1 = mgr_->Cofactor(f, v, true);
     double e0 = Count(f0);
     double e1 = Count(f1);
     auto freed = [&](NodeId sub) {
-      const std::vector<VarId>& kept = mgr_->VarsOf(sub);
+      std::span<const VarId> kept = mgr_->VarsOf(sub);
       double factor = 1.0;
       for (VarId u : all) {
         if (u != v && !std::binary_search(kept.begin(), kept.end(), u)) {
